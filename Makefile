@@ -75,13 +75,18 @@ bench-smoke:
 bench-large:
 	$(GO) test -run '^$$' -bench 'Phase1ClassicN5k|Phase1ScaledN5k|SolveLargeN5k' -benchtime 1x .
 
-# Regenerate the hot-path benchmark snapshot. Reports are numbered; the
-# newest BENCH_*.json is the baseline the guard compares against.
-bench:
-	$(GO) run ./cmd/krspbench -out BENCH_4.json
+# Snapshot numbers on disk, highest last (numeric: BENCH_10 sorts after
+# BENCH_9).
+BENCH_NUMBERS := $(shell ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n)
+BENCH_LAST := $(lastword $(BENCH_NUMBERS))
 
-# Newest snapshot on disk (lexicographic; fine for single-digit revisions).
-BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
+# Regenerate the hot-path benchmark snapshot. Reports are numbered; each run
+# writes the next free BENCH_<n>.json, and the highest-numbered one is the
+# baseline the guard compares against.
+bench:
+	$(GO) run ./cmd/krspbench -out BENCH_$$(( $(or $(BENCH_LAST),0) + 1 )).json
+
+BENCH_BASELINE := $(if $(BENCH_LAST),BENCH_$(BENCH_LAST).json)
 
 # Zero-alloc contracts: core.Solve with Options.Metrics unset must not
 # allocate above the newest baseline, SolveCtx with a live Canceller must

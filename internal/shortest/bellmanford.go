@@ -88,23 +88,19 @@ func bfCore(ws *Workspace, g *graph.Digraph, w Weight, t Tree) (Tree, graph.Cycl
 //
 //krsp:terminates(parent-pointer cycle is vertex-simple, so the walk closes within n steps)
 func extractParentCycle(g *graph.Digraph, parent []graph.EdgeID, start graph.NodeID) graph.Cycle {
-	var revEdges []graph.EdgeID
+	length := 1
+	for v := g.Edge(parent[start]).From; v != start; v = g.Edge(parent[v]).From {
+		length++
+	}
+	// Fill back to front: walking parents visits the cycle's edges in
+	// reverse, so the slice comes out in forward order ending at start.
+	edges := make([]graph.EdgeID, length) //lint:allow contracts one allocation per extracted cycle, the returned edge slice; witnessed by TestSPFAAllocs
 	v := start
-	for {
-		id := parent[v]
-		//lint:allow contracts cold path: runs once per extracted cycle, ≤ n appends; counted in the bench-guard alloc budget
-		revEdges = append(revEdges, id)
-		v = g.Edge(id).From
-		if v == start {
-			break
-		}
+	for i := length - 1; i >= 0; i-- {
+		edges[i] = parent[v]
+		v = g.Edge(parent[v]).From
 	}
-	// revEdges currently lists edges from the cycle walked backwards;
-	// reverse to get forward order starting at `start`'s predecessor chain.
-	for i, j := 0, len(revEdges)-1; i < j; i, j = i+1, j-1 {
-		revEdges[i], revEdges[j] = revEdges[j], revEdges[i]
-	}
-	return graph.Cycle{Edges: revEdges}
+	return graph.Cycle{Edges: edges}
 }
 
 // NegativeCycle finds any negative-weight cycle in g under w, returning

@@ -159,28 +159,30 @@ func SPFAAllCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool) (Tr
 }
 
 // spfaCSRCore is spfaCore over a CSR view (all-sources seeding only, which
-// is the solve-path shape). Relaxation order, budget accounting, pathLen
-// verification and cycle extraction all mirror spfaCore exactly.
+// is the solve-path shape). Relaxation order, budget accounting, the queue
+// links, the parent-walk schedule and cycle extraction all mirror spfaCore
+// exactly.
 //
 //krsp:inbounds
 func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree, budget int) (Tree, graph.Cycle, bool, bool) {
 	n := c.NumNodes()
-	inQueue, pathLen, queue := ws.resetFlags(n)
-	defer func() { ws.queue = queue[:0] }() //lint:allow boundsafe [:0] never exceeds capacity; reslicing hands the grown buffer back to the workspace
-	relaxations := 0
-	for v := 0; v < n; v++ {
-		queue = append(queue, graph.NodeID(v)) //lint:allow contracts amortized: appends reuse the persisted workspace queue buffer
-		inQueue[v] = true                      //lint:allow boundsafe ws.resetFlags(n) sizes inQueue to n, the loop bound
+	next, stamp := ws.resetQueue(n)
+	first, last := queueEnd, queueEnd
+	if n > 0 {
+		for v := range next {
+			next[v] = graph.NodeID(v + 1)
+		}
+		first, last = 0, graph.NodeID(n-1)
+		next[last] = queueEnd
 	}
-	head := 0
-	for head < len(queue) {
+	relaxations, sinceWalk, walk := 0, 0, 0
+	for first >= 0 {
 		if ws.cancel.Poll() {
 			ws.recordSPFA(relaxations, false)
 			return t, graph.Cycle{}, false, false
 		}
-		u := queue[head]
-		head++
-		inQueue[u] = false
+		u := first
+		first, next[u] = next[u], notQueued
 		du := t.Dist[u]
 		if du == Inf {
 			continue
@@ -218,20 +220,21 @@ func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree
 				}
 				t.Dist[to] = nd
 				t.Parent[to] = id
-				pathLen[to] = pathLen[u] + 1
-				if pathLen[to] >= n {
-					// Same lazy-snapshot verification as spfaCore: confirm a
-					// repeated vertex on the live parent chain before trusting
-					// the negative-cycle trigger.
-					if at, cyclic := chainRepeatCSR(c, t.Parent, to); cyclic {
+				if sinceWalk++; sinceWalk == n {
+					sinceWalk = 0
+					if at, cyclic := parentWalkCSR(c, t.Parent, stamp, &walk); cyclic {
 						ws.recordSPFA(relaxations, true)
 						return t, extractParentCycleCSR(c, t.Parent, at), false, true
 					}
-					pathLen[to] = chainLengthCSR(c, t.Parent, to)
 				}
-				if !inQueue[to] {
-					inQueue[to] = true
-					queue = append(queue, to) //lint:allow contracts amortized: appends reuse the persisted workspace queue buffer
+				if next[to] == notQueued {
+					next[to] = queueEnd
+					if first < 0 {
+						first = to
+					} else {
+						next[last] = to
+					}
+					last = to
 				}
 			}
 		}
@@ -289,54 +292,48 @@ func BellmanFordAllCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bo
 	return t, extractParentCycleCSR(c, t.Parent, v), false
 }
 
-// chainRepeatCSR is chainRepeat over a CSR view.
+// parentWalkCSR is parentWalk over a CSR view.
 //
-//krsp:terminates(the seen set forces a repeat or a root exit within n steps)
-func chainRepeatCSR(c *graph.CSR, parent []graph.EdgeID, v graph.NodeID) (graph.NodeID, bool) {
-	seen := map[graph.NodeID]bool{v: true}
-	for {
-		id := parent[v]
-		if id < 0 {
-			return 0, false
+//krsp:terminates(each vertex is stamped at most once per walk, so the chains total ≤ n steps)
+func parentWalkCSR(c *graph.CSR, parent []graph.EdgeID, stamp []int, walk *int) (graph.NodeID, bool) {
+	base := *walk
+	for v := range parent {
+		if stamp[v] > base {
+			continue
 		}
-		v = c.Tail(id)
-		if seen[v] {
-			return v, true
+		*walk++
+		id := *walk
+		u := graph.NodeID(v)
+		for {
+			stamp[u] = id
+			if parent[u] < 0 {
+				break
+			}
+			u = c.Tail(parent[u])
+			if stamp[u] == id {
+				return u, true
+			}
+			if stamp[u] > base {
+				break
+			}
 		}
-		//lint:allow contracts cold path: map grows only while verifying a suspected cycle; counted in the bench-guard alloc budget
-		seen[v] = true
 	}
-}
-
-// chainLengthCSR is chainLength over a CSR view.
-//
-//krsp:terminates(parent chain is acyclic here, ≤ n edges to the root)
-func chainLengthCSR(c *graph.CSR, parent []graph.EdgeID, v graph.NodeID) int {
-	length := 0
-	for parent[v] >= 0 {
-		v = c.Tail(parent[v])
-		length++
-	}
-	return length
+	return 0, false
 }
 
 // extractParentCycleCSR is extractParentCycle over a CSR view.
 //
 //krsp:terminates(parent-pointer cycle is vertex-simple, so the walk closes within n steps)
 func extractParentCycleCSR(c *graph.CSR, parent []graph.EdgeID, start graph.NodeID) graph.Cycle {
-	var revEdges []graph.EdgeID
+	length := 1
+	for v := c.Tail(parent[start]); v != start; v = c.Tail(parent[v]) {
+		length++
+	}
+	edges := make([]graph.EdgeID, length) //lint:allow contracts one allocation per extracted cycle, the returned edge slice; witnessed by TestSPFAAllocs
 	v := start
-	for {
-		id := parent[v]
-		//lint:allow contracts cold path: runs once per extracted cycle, ≤ n appends; counted in the bench-guard alloc budget
-		revEdges = append(revEdges, id)
-		v = c.Tail(id)
-		if v == start {
-			break
-		}
+	for i := length - 1; i >= 0; i-- {
+		edges[i] = parent[v]
+		v = c.Tail(parent[v])
 	}
-	for i, j := 0, len(revEdges)-1; i < j; i, j = i+1, j-1 {
-		revEdges[i], revEdges[j] = revEdges[j], revEdges[i]
-	}
-	return graph.Cycle{Edges: revEdges}
+	return graph.Cycle{Edges: edges}
 }

@@ -36,8 +36,9 @@ func SPFAInto(ws *Workspace, g *graph.Digraph, s graph.NodeID, w Weight) (Tree, 
 		return tree, graph.Cycle{}, true
 	}
 	// Relaxation budget blown without a certified verdict (possible when a
-	// negative cycle keeps the parent graph transiently acyclic): fall back
-	// to the pass-based scan, which always terminates with a proof.
+	// negative cycle keeps the parent graph acyclic at every periodic
+	// walk): fall back to the pass-based scan, which always terminates with
+	// a proof.
 	return BellmanFordInto(ws, g, s, w)
 }
 
@@ -105,35 +106,38 @@ func SPFAAllBoundedInto(ws *Workspace, g *graph.Digraph, w Weight, budget int) (
 // pass-based Bellman–Ford (or accept the non-verdict). With single=true the
 // queue is seeded with s alone; otherwise every vertex is seeded (the
 // virtual super-source).
+//
+// The FIFO is a singly linked list threaded through the workspace links
+// (see notQueued): a vertex is queued at most once, so n links always
+// suffice and the queue never allocates. Negative cycles are found by
+// searching the parent graph after every n improving relaxations
+// (parentWalk) — an O(n) walk per n relaxations, so detection costs
+// amortized O(1) per relaxation. Every parent-graph cycle is negative, so a
+// hit is returned as-is.
 func spfaCore(ws *Workspace, g *graph.Digraph, w Weight, t Tree, s graph.NodeID, single bool, budget int) (Tree, graph.Cycle, bool, bool) {
 	n := g.NumNodes()
-	// pathLen[v] is the edge count of the tentative shortest walk to v; a
-	// walk of ≥ n edges repeats a vertex, certifying a negative cycle (the
-	// correct SPFA criterion — per-vertex relax counts are NOT bounded by n
-	// on negative-cycle-free graphs).
-	inQueue, pathLen, queue := ws.resetFlags(n)
-	defer func() { ws.queue = queue[:0] }()
-	relaxations := 0
+	next, stamp := ws.resetQueue(n)
+	first, last := queueEnd, queueEnd
 	if single {
-		queue = append(queue, s) //lint:allow contracts amortized: appends reuse the persisted workspace queue buffer
-		inQueue[s] = true
-	} else {
-		for v := 0; v < n; v++ {
-			queue = append(queue, graph.NodeID(v)) //lint:allow contracts amortized: appends reuse the persisted workspace queue buffer
-			inQueue[v] = true
+		first, last = s, s
+		next[s] = queueEnd
+	} else if n > 0 {
+		for v := range next {
+			next[v] = graph.NodeID(v + 1)
 		}
+		first, last = 0, graph.NodeID(n-1)
+		next[last] = queueEnd
 	}
-	head := 0
-	for head < len(queue) {
+	relaxations, sinceWalk, walk := 0, 0, 0
+	for first >= 0 {
 		if ws.cancel.Poll() {
 			// Cancelled: no verdict. Callers distinguish this from budget
 			// exhaustion via Canceller.Stopped (see Workspace.SetCancel).
 			ws.recordSPFA(relaxations, false)
 			return t, graph.Cycle{}, false, false
 		}
-		u := queue[head]
-		head++
-		inQueue[u] = false
+		u := first
+		first, next[u] = next[u], notQueued
 		du := t.Dist[u]
 		if du == Inf {
 			continue
@@ -149,22 +153,21 @@ func spfaCore(ws *Workspace, g *graph.Digraph, w Weight, t Tree, s graph.NodeID,
 				}
 				t.Dist[e.To] = nd
 				t.Parent[e.To] = id
-				pathLen[e.To] = pathLen[u] + 1
-				if pathLen[e.To] >= n {
-					// Likely negative cycle. pathLen is a lazy snapshot, so
-					// verify against the live parent graph: a repeated
-					// vertex on the chain is a genuine negative cycle; a
-					// rootward exit means the trigger was stale — record
-					// the true length and move on.
-					if at, cyclic := chainRepeat(g, t.Parent, e.To); cyclic {
+				if sinceWalk++; sinceWalk == n {
+					sinceWalk = 0
+					if at, cyclic := parentWalk(g, t.Parent, stamp, &walk); cyclic {
 						ws.recordSPFA(relaxations, true)
 						return t, extractParentCycle(g, t.Parent, at), false, true
 					}
-					pathLen[e.To] = chainLength(g, t.Parent, e.To)
 				}
-				if !inQueue[e.To] {
-					inQueue[e.To] = true
-					queue = append(queue, e.To) //lint:allow contracts amortized: appends reuse the persisted workspace queue buffer
+				if next[e.To] == notQueued {
+					next[e.To] = queueEnd
+					if first < 0 {
+						first = e.To
+					} else {
+						next[last] = e.To
+					}
+					last = e.To
 				}
 			}
 		}
@@ -173,36 +176,37 @@ func spfaCore(ws *Workspace, g *graph.Digraph, w Weight, t Tree, s graph.NodeID,
 	return t, graph.Cycle{}, true, true
 }
 
-// chainRepeat follows parent pointers from v and reports the first vertex
-// seen twice (a vertex on a parent-graph cycle), or cyclic=false if the
-// chain reaches a root.
+// parentWalk searches the parent graph for a cycle in one O(n) pass. Each
+// chain is followed rootward from a vertex not yet visited by this walk and
+// stamped with a fresh id above *walk, the last id handed out by earlier
+// walks: meeting the chain's own id again closes a cycle (the returned
+// vertex lies on it), while meeting an older id of this walk or a root ends
+// the chain. Ids only grow, so stamps need no clearing between walks; the
+// walk advances *walk past the ids it used.
 //
-//krsp:terminates(the seen set forces a repeat or a root exit within n steps)
-func chainRepeat(g *graph.Digraph, parent []graph.EdgeID, v graph.NodeID) (graph.NodeID, bool) {
-	seen := map[graph.NodeID]bool{v: true}
-	for {
-		id := parent[v]
-		if id < 0 {
-			return 0, false
+//krsp:terminates(each vertex is stamped at most once per walk, so the chains total ≤ n steps)
+func parentWalk(g *graph.Digraph, parent []graph.EdgeID, stamp []int, walk *int) (graph.NodeID, bool) {
+	base := *walk
+	for v := range parent {
+		if stamp[v] > base {
+			continue
 		}
-		v = g.Edge(id).From
-		if seen[v] {
-			return v, true
+		*walk++
+		id := *walk
+		u := graph.NodeID(v)
+		for {
+			stamp[u] = id
+			if parent[u] < 0 {
+				break
+			}
+			u = g.Edge(parent[u]).From
+			if stamp[u] == id {
+				return u, true
+			}
+			if stamp[u] > base {
+				break
+			}
 		}
-		//lint:allow contracts cold path: map grows only while verifying a suspected cycle; counted in the bench-guard alloc budget
-		seen[v] = true
 	}
-}
-
-// chainLength counts parent-chain edges from v to its root. Callers only
-// invoke it after chainRepeat reported no cycle, so it terminates.
-//
-//krsp:terminates(parent chain is acyclic here, ≤ n edges to the root)
-func chainLength(g *graph.Digraph, parent []graph.EdgeID, v graph.NodeID) int {
-	length := 0
-	for parent[v] >= 0 {
-		v = g.Edge(parent[v]).From
-		length++
-	}
-	return length
+	return 0, false
 }

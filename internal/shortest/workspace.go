@@ -8,9 +8,9 @@ import (
 )
 
 // Workspace holds the scratch arrays shared by every kernel in this
-// package: distances, parent pointers, the SPFA queue and in-queue flags,
-// and an indexed heap for Dijkstra. Allocating these dominates the cost of
-// a single search on small graphs, and the solver's hot loops (cycle
+// package: distances, parent pointers, the SPFA queue links and parent-walk
+// stamps, and an indexed heap for Dijkstra. Allocating these dominates the
+// cost of a single search on small graphs, and the solver's hot loops (cycle
 // cancellation, budget sweeps, Lagrangian iterations) run thousands of
 // searches over graphs of identical or slowly-growing size — a Workspace
 // amortizes the allocations to zero.
@@ -25,9 +25,8 @@ import (
 type Workspace struct {
 	dist    []int64
 	parent  []graph.EdgeID
-	inQueue []bool
-	pathLen []int
-	queue   []graph.NodeID
+	stamp   []int          // parent-walk ids of the SPFA cycle search
+	next    []graph.NodeID // SPFA FIFO links: next[v] follows v, or notQueued
 	done    []bool
 	heap    *pq.Heap
 	metrics *obs.ShortestMetrics
@@ -77,8 +76,8 @@ func (ws *Workspace) Grow(n int) {
 	}
 	ws.dist = make([]int64, n)          //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
 	ws.parent = make([]graph.EdgeID, n) //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
-	ws.inQueue = make([]bool, n)        //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
-	ws.pathLen = make([]int, n)         //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
+	ws.stamp = make([]int, n)           //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
+	ws.next = make([]graph.NodeID, n)   //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
 	ws.done = make([]bool, n)           //lint:allow contracts amortized: reallocates only on expansion (n > cap), zero steady-state
 	if ws.heap == nil {
 		ws.heap = pq.New(n)
@@ -94,17 +93,25 @@ func (ws *Workspace) tree(n int) Tree {
 	return Tree{Dist: ws.dist[:n], Parent: ws.parent[:n]}
 }
 
-// resetFlags clears the SPFA bookkeeping for n vertices and returns the
-// (emptied) queue buffer.
-func (ws *Workspace) resetFlags(n int) (inQueue []bool, pathLen []int, queue []graph.NodeID) {
+// SPFA queue links: the FIFO is a singly linked list threaded through
+// next, so next[v] is the vertex queued after v, queueEnd after the last
+// one, and notQueued when v is not in the queue.
+const (
+	queueEnd  graph.NodeID = -1
+	notQueued graph.NodeID = -2
+)
+
+// resetQueue empties the SPFA queue and clears the walk stamps for n
+// vertices, returning both.
+func (ws *Workspace) resetQueue(n int) (next []graph.NodeID, stamp []int) {
 	ws.Grow(n)
-	inQueue = ws.inQueue[:n]
-	pathLen = ws.pathLen[:n]
+	next = ws.next[:n]
+	stamp = ws.stamp[:n]
 	for i := 0; i < n; i++ {
-		inQueue[i] = false
-		pathLen[i] = 0
+		next[i] = notQueued
+		stamp[i] = 0
 	}
-	return inQueue, pathLen, ws.queue[:0]
+	return next, stamp
 }
 
 // Clone of a workspace-backed tree into fresh memory, for callers that keep
