@@ -1,15 +1,16 @@
 GO ?= go
 
-.PHONY: check vet fmt-check lint conc-audit bce-audit build test race fuzz-smoke bench-smoke bench-large bench bench-guard trace-smoke cluster-smoke clean
+.PHONY: check vet fmt-check lint conc-audit bce-audit build test perf-test race fuzz-smoke bench-smoke bench-large bench bench-guard trace-smoke cluster-smoke clean
 
 # The full CI gate: static checks (vet, gofmt, krsplint, the concurrency
 # audit, the BCE ratchet),
-# build, race-enabled tests, a short fuzz smoke over the robustness harness,
+# build, race-enabled tests, the nested benchmark module's tests, a short
+# fuzz smoke over the robustness harness,
 # a one-shot benchmark smoke run (catches benchmarks that panic or regress
 # to failure), the N=5k large-tier smoke, the allocation guard on the
 # flagship benches, the flight-recorder round trip, and the 3-node cluster
 # failover smoke.
-check: vet fmt-check lint conc-audit bce-audit build race fuzz-smoke bench-smoke bench-large bench-guard trace-smoke cluster-smoke
+check: vet fmt-check lint conc-audit bce-audit build race perf-test fuzz-smoke bench-smoke bench-large bench-guard trace-smoke cluster-smoke
 
 vet:
 	$(GO) vet ./...
@@ -50,6 +51,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# cmd/krspperf is a nested module (its own go.mod, replacing repro with the
+# checkout), so ./... from the root never reaches its tests; run them in
+# place, since it imports the solver packages it benchmarks.
+perf-test:
+	cd cmd/krspperf && $(GO) test ./...
 
 # -count=1 defeats the test cache: the race gate must actually re-execute
 # the concurrent suites (goroutine-leak guards, cache churn) every run, not

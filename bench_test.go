@@ -228,23 +228,23 @@ func BenchmarkBicameralFind(b *testing.B) {
 	}
 }
 
-func BenchmarkSPFAAllN2000(b *testing.B) {
-	ins := gen.ER(3, 200, 0.08, gen.DefaultWeights())
+func BenchmarkSPFAAllCSRN2000(b *testing.B) {
+	c := graph.NewCSR(gen.ER(3, 200, 0.08, gen.DefaultWeights()).G)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shortest.SPFAAll(ins.G, shortest.CostWeight)
+		shortest.SPFAAllCSRInto(shortest.NewWorkspace(c.NumNodes()), c, shortest.LinCost, nil)
 	}
 }
 
-// BenchmarkSPFAAllInto is the workspace-reusing counterpart of
-// BenchmarkSPFAAllN2000: the delta between the two is precisely the
+// BenchmarkSPFAAllCSRInto is the workspace-reusing counterpart of
+// BenchmarkSPFAAllCSRN2000: the delta between the two is precisely the
 // per-search allocation cost the Workspace removes.
-func BenchmarkSPFAAllInto(b *testing.B) {
-	ins := gen.ER(3, 200, 0.08, gen.DefaultWeights())
-	ws := shortest.NewWorkspace(ins.G.NumNodes())
+func BenchmarkSPFAAllCSRInto(b *testing.B) {
+	c := graph.NewCSR(gen.ER(3, 200, 0.08, gen.DefaultWeights()).G)
+	ws := shortest.NewWorkspace(c.NumNodes())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		shortest.SPFAAllInto(ws, ins.G, shortest.CostWeight)
+		shortest.SPFAAllCSRInto(ws, c, shortest.LinCost, nil)
 	}
 }
 

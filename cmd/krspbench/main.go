@@ -424,19 +424,33 @@ func suite() []bench {
 				residual.Build(ins.G, f1.Edges)
 			}
 		}},
-		{"SPFAAll", func(b *testing.B) {
-			ins := gen.ER(3, 200, 0.08, gen.DefaultWeights())
+		{"ResidualUpdate", func(b *testing.B) {
+			// One incremental Update against the Build it replaces, on a
+			// realistic solution-swap cycle set (flipped there and back).
+			rg, fwd, back := residualSwap()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				shortest.SPFAAll(ins.G, shortest.CostWeight)
+			for i := 0; i < b.N; i += 2 {
+				if err := rg.Update(fwd); err != nil {
+					b.Fatal(err)
+				}
+				if err := rg.Update(back); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
-		{"SPFAAllInto", func(b *testing.B) {
-			ins := gen.ER(3, 200, 0.08, gen.DefaultWeights())
-			ws := shortest.NewWorkspace(ins.G.NumNodes())
+		{"SPFAAllCSR", func(b *testing.B) {
+			c := graph.NewCSR(gen.ER(3, 200, 0.08, gen.DefaultWeights()).G)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				shortest.SPFAAllInto(ws, ins.G, shortest.CostWeight)
+				shortest.SPFAAllCSRInto(shortest.NewWorkspace(c.NumNodes()), c, shortest.LinCost, nil)
+			}
+		}},
+		{"SPFAAllCSRInto", func(b *testing.B) {
+			c := graph.NewCSR(gen.ER(3, 200, 0.08, gen.DefaultWeights()).G)
+			ws := shortest.NewWorkspace(c.NumNodes())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				shortest.SPFAAllCSRInto(ws, c, shortest.LinCost, nil)
 			}
 		}},
 		// Large tier: classic vs scaled phase-1 kernel on the same instance.
@@ -463,4 +477,35 @@ func bicameralInputs() (*residual.Graph, bicameral.Params, bool) {
 		return nil, bicameral.Params{}, false
 	}
 	return rg, bicameral.Params{DeltaD: dd, DeltaC: 10, CostCap: 1 << 20}, true
+}
+
+// residualSwap returns a residual built against the min-cost 2-flow of an
+// N=100 ER instance, Updated once to the min-delay 2-flow and back, with the
+// two cycle sets that swap between them.
+func residualSwap() (*residual.Graph, []graph.Cycle, []graph.Cycle) {
+	ins := gen.ER(7, 100, 0.1, gen.DefaultWeights())
+	f1, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.CostWeight)
+	if err != nil {
+		panic(err)
+	}
+	f2, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.DelayWeight)
+	if err != nil {
+		panic(err)
+	}
+	rg := residual.Build(ins.G, f1.Edges)
+	fwd, err := rg.SolutionCycles(f2.Edges)
+	if err != nil {
+		panic(err)
+	}
+	if err := rg.Update(fwd); err != nil {
+		panic(err)
+	}
+	back, err := rg.SolutionCycles(f1.Edges)
+	if err != nil {
+		panic(err)
+	}
+	if err := rg.Update(back); err != nil {
+		panic(err)
+	}
+	return rg, fwd, back
 }

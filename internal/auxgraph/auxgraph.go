@@ -12,6 +12,9 @@
 // rotation keeps prefix sums in range, which is the (implicit) regime of
 // the paper's Lemma 15. The primary bicameral search uses TwoSided; the
 // one-sided graphs remain for paper fidelity and the LP (6) engine.
+//
+// The residual graph and every H are graph.CSR views: H is built straight
+// into edge arrays and packed, with no intermediate Digraph.
 package auxgraph
 
 import (
@@ -50,11 +53,12 @@ func (k Kind) String() string {
 
 // Aux is a constructed auxiliary graph with projection bookkeeping.
 type Aux struct {
-	// H is the layered graph. Edge delays are residual delays; edge costs
-	// carry the residual cost for bookkeeping (wrap edges are (0,0)).
-	H *graph.Digraph
+	// H is the layered graph (never flipped). Edge delays are residual
+	// delays; edge costs carry the residual cost for bookkeeping (wrap
+	// edges are (0,0)).
+	H *graph.CSR
 	// Base is the residual graph the layers were built over.
-	Base *graph.Digraph
+	Base *graph.CSR
 	// V is the anchor vertex whose copies carry wrap edges.
 	V graph.NodeID
 	// B is the cost budget.
@@ -67,13 +71,35 @@ type Aux struct {
 	layers  int64          // number of layers
 }
 
-// Build constructs the auxiliary graph of the given kind. B must be ≥ 1.
-func Build(base *graph.Digraph, v graph.NodeID, bound int64, kind Kind) *Aux {
+// Build constructs the auxiliary graph of the given kind over the residual
+// view base, anchored at v. B must be ≥ 1.
+func Build(base *graph.CSR, v graph.NodeID, bound int64, kind Kind) *Aux {
+	return build(base, []graph.NodeID{v}, bound, kind)
+}
+
+// BuildShared constructs a TwoSided layered graph with wrap edges at every
+// anchor vertex, so a single negative-cycle detection covers all anchors at
+// once (the fast path of the bicameral search). Projection semantics are
+// identical to a single-anchor TwoSided graph; a.V is set to the first
+// anchor for display only.
+func BuildShared(base *graph.CSR, anchors []graph.NodeID, bound int64) *Aux {
+	if len(anchors) == 0 {
+		//lint:allow nopanic callers derive anchors from ReversedSeeds and check emptiness first
+		panic("auxgraph: no anchors")
+	}
+	return build(base, anchors, bound, TwoSided)
+}
+
+// build lays out H: first the layered copies of every base edge (base edges
+// in ID order, layers ascending), then the wrap edges of every anchor from
+// each layer but the start one back to the start layer. Edge IDs follow
+// that order, and PackCSR keeps every row ID-ascending.
+func build(base *graph.CSR, anchors []graph.NodeID, bound int64, kind Kind) *Aux {
 	if bound < 1 {
 		//lint:allow nopanic B is solver-computed and ≥ 1 by construction; programmer error
 		panic(fmt.Sprintf("auxgraph: budget %d < 1", bound))
 	}
-	a := &Aux{Base: base, V: v, B: bound, Kind: kind}
+	a := &Aux{Base: base, V: anchors[0], B: bound, Kind: kind}
 	switch kind {
 	case Plus, Minus:
 		a.lo, a.layers = 0, bound+1
@@ -83,80 +109,49 @@ func Build(base *graph.Digraph, v graph.NodeID, bound int64, kind Kind) *Aux {
 		//lint:allow nopanic exhaustive Kind switch; unreachable
 		panic("auxgraph: unknown kind")
 	}
-	n := base.NumNodes()
-	a.H = graph.New(int(a.layers) * n)
-	// Layered copies of every base edge.
-	for _, e := range base.EdgesView() {
+	// Size H exactly: a base edge of cost c has a copy in every layer l with
+	// both l and l+c in range, i.e. max(0, layers−|c|) copies.
+	m := base.NumEdges()
+	size := int64(len(anchors)) * (a.layers - 1)
+	for i := 0; i < m; i++ {
+		cost := base.Cost(graph.EdgeID(i))
+		if cost < 0 {
+			cost = -cost
+		}
+		if cost < a.layers {
+			size += a.layers - cost //lint:allow weightovf 0 ≤ cost < layers; size counts H's edges, ≤ (m+|anchors|)·layers
+		}
+	}
+	from := make([]graph.NodeID, 0, size)
+	to := make([]graph.NodeID, 0, size)
+	costs := make([]int64, 0, size)
+	delays := make([]int64, 0, size)
+	a.resEdge = make([]graph.EdgeID, 0, size)
+	add := func(u, v graph.NodeID, c, d int64, res graph.EdgeID) {
+		from, to = append(from, u), append(to, v)
+		costs, delays = append(costs, c), append(delays, d)
+		a.resEdge = append(a.resEdge, res)
+	}
+	for i := 0; i < m; i++ {
+		id := graph.EdgeID(i)
+		cost := base.Cost(id)
 		for l := a.lo; l <= a.hi(); l++ {
-			nl := l + e.Cost //lint:allow weightovf layer index: |l| ≤ B and cost is MaxWeight-capped
+			nl := l + cost //lint:allow weightovf layer index: |l| ≤ B and cost is MaxWeight-capped
 			if nl < a.lo || nl > a.hi() {
 				continue
 			}
-			a.H.AddEdge(a.node(e.From, l), a.node(e.To, nl), e.Cost, e.Delay)
-			a.resEdge = append(a.resEdge, e.ID)
+			add(a.node(base.Tail(id), l), a.node(base.Head(id), nl), cost, base.Delay(id), id)
 		}
 	}
-	// Wrap edges at the anchor.
-	switch kind {
-	case Plus:
-		for i := int64(1); i <= bound; i++ {
-			a.H.AddEdge(a.node(v, i), a.node(v, 0), 0, 0)
-			a.resEdge = append(a.resEdge, -1)
-		}
-	case Minus:
-		for i := int64(0); i < bound; i++ {
-			a.H.AddEdge(a.node(v, i), a.node(v, bound), 0, 0)
-			a.resEdge = append(a.resEdge, -1)
-		}
-	case TwoSided:
-		for b := -bound; b <= bound; b++ {
-			if b == 0 {
-				continue
-			}
-			a.H.AddEdge(a.node(v, b), a.node(v, 0), 0, 0)
-			a.resEdge = append(a.resEdge, -1)
-		}
-	}
-	return a
-}
-
-// BuildShared constructs a TwoSided layered graph with wrap edges at every
-// anchor vertex, so a single negative-cycle detection covers all anchors at
-// once (the fast path of the bicameral search). Projection semantics are
-// identical to a single-anchor TwoSided graph; a.V is set to the first
-// anchor for display only.
-func BuildShared(base *graph.Digraph, anchors []graph.NodeID, bound int64) *Aux {
-	if bound < 1 {
-		//lint:allow nopanic B is solver-computed and ≥ 1 by construction; programmer error
-		panic(fmt.Sprintf("auxgraph: budget %d < 1", bound))
-	}
-	if len(anchors) == 0 {
-		//lint:allow nopanic callers derive anchors from ReversedSeeds and check emptiness first
-		panic("auxgraph: no anchors")
-	}
-	a := &Aux{Base: base, V: anchors[0], B: bound, Kind: TwoSided,
-		lo: -bound, layers: 2*bound + 1}
-	n := base.NumNodes()
-	a.H = graph.New(int(a.layers) * n)
-	for _, e := range base.EdgesView() {
-		for l := a.lo; l <= a.hi(); l++ {
-			nl := l + e.Cost //lint:allow weightovf layer index: |l| ≤ B and cost is MaxWeight-capped
-			if nl < a.lo || nl > a.hi() {
-				continue
-			}
-			a.H.AddEdge(a.node(e.From, l), a.node(e.To, nl), e.Cost, e.Delay)
-			a.resEdge = append(a.resEdge, e.ID)
-		}
-	}
+	start := a.StartLayer()
 	for _, v := range anchors {
-		for b := -bound; b <= bound; b++ {
-			if b == 0 {
-				continue
+		for l := a.lo; l <= a.hi(); l++ {
+			if l != start {
+				add(a.node(v, l), a.node(v, start), 0, 0, -1)
 			}
-			a.H.AddEdge(a.node(v, b), a.node(v, 0), 0, 0)
-			a.resEdge = append(a.resEdge, -1)
 		}
 	}
+	a.H = graph.PackCSR(int(a.layers)*base.NumNodes(), from, to, costs, delays)
 	return a
 }
 

@@ -11,12 +11,17 @@ import (
 
 // negDelayCycleBase: residual-like graph with a cost-0, delay-negative
 // 3-cycle 0→1→2→0.
-func negDelayCycleBase() *graph.Digraph {
+func negDelayCycleBase() *graph.CSR {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 2, 1)   // e0
 	g.AddEdge(1, 2, 1, 1)   // e1
 	g.AddEdge(2, 0, -3, -5) // e2 (reversed solution edge)
-	return g
+	return graph.NewCSR(g)
+}
+
+// delayBF runs single-source Bellman–Ford on H under delay.
+func delayBF(a *Aux) (shortest.Tree, graph.Cycle, bool) {
+	return shortest.BellmanFordCSRInto(shortest.NewWorkspace(a.H.NumNodes()), a.H, a.Start(), shortest.LinDelay)
 }
 
 func TestBuildSizesPlus(t *testing.T) {
@@ -30,8 +35,19 @@ func TestBuildSizesPlus(t *testing.T) {
 	if a.H.NumEdges() != 2+3+1+3 {
 		t.Fatalf("edges = %d", a.H.NumEdges())
 	}
-	if err := a.H.Validate(); err != nil {
-		t.Fatal(err)
+	// Every H edge sits in its endpoints' rows, and rows ascend by ID.
+	for v := 0; v < a.H.NumNodes(); v++ {
+		out, in := a.H.OutRow(graph.NodeID(v)), a.H.InRow(graph.NodeID(v))
+		for i, id := range out {
+			if a.H.Tail(id) != graph.NodeID(v) || i > 0 && out[i-1] >= id {
+				t.Fatalf("out row %d malformed: %v", v, out)
+			}
+		}
+		for i, id := range in {
+			if a.H.Head(id) != graph.NodeID(v) || i > 0 && in[i-1] >= id {
+				t.Fatalf("in row %d malformed: %v", v, in)
+			}
+		}
 	}
 }
 
@@ -86,7 +102,7 @@ func TestTwoSidedFindsZeroCostNegativeDelayCycle(t *testing.T) {
 	a := Build(g, 0, 3, TwoSided)
 	// The base cycle has cost 0 with prefix sums 2,3,0 ∈ [−3,3]; it embeds
 	// as a negative-delay cycle in H (no wrap needed).
-	_, cyc, ok := shortest.BellmanFord(a.H, a.Start(), shortest.DelayWeight)
+	_, cyc, ok := delayBF(a)
 	if ok {
 		t.Fatal("negative-delay cycle not detected in H")
 	}
@@ -99,38 +115,38 @@ func TestTwoSidedFindsZeroCostNegativeDelayCycle(t *testing.T) {
 		if err := c.Validate(g, false); err != nil {
 			t.Fatal(err)
 		}
-		totC += c.Cost(g)
-		totD += c.Delay(g)
+		totC += g.TotalCost(c.Edges)
+		totD += g.TotalDelay(c.Edges)
 	}
 	if totD >= 0 {
 		t.Fatalf("projected delay %d not negative", totD)
 	}
-	if totC != cyc.Cost(a.H) {
-		t.Fatalf("projected cost %d != H cycle cost %d", totC, cyc.Cost(a.H))
+	if totC != a.H.TotalCost(cyc.Edges) {
+		t.Fatalf("projected cost %d != H cycle cost %d", totC, a.H.TotalCost(cyc.Edges))
 	}
 }
 
 // posCostNegDelayBase: 2-cycle with cost +2 and delay −3.
-func posCostNegDelayBase() *graph.Digraph {
+func posCostNegDelayBase() *graph.CSR {
 	g := graph.New(2)
 	g.AddEdge(0, 1, 1, -4)
 	g.AddEdge(1, 0, 1, 1)
-	return g
+	return graph.NewCSR(g)
 }
 
 func TestPlusFindsPositiveCostCycleViaWrap(t *testing.T) {
 	g := posCostNegDelayBase()
 	a := Build(g, 0, 2, Plus)
 	// Cycle in H: 0^0 → 1^1 → 0^2 → wrap → 0^0, total delay −3 < 0.
-	_, cyc, ok := shortest.BellmanFord(a.H, a.Start(), shortest.DelayWeight)
+	_, cyc, ok := delayBF(a)
 	if ok {
 		t.Fatal("expected negative cycle through wrap")
 	}
 	projected := a.Project(cyc)
 	var totC, totD int64
 	for _, c := range projected {
-		totC += c.Cost(g)
-		totD += c.Delay(g)
+		totC += g.TotalCost(c.Edges)
+		totD += g.TotalDelay(c.Edges)
 	}
 	if totC <= 0 || totD >= 0 {
 		t.Fatalf("projected (c=%d, d=%d), want c>0, d<0", totC, totD)
@@ -143,10 +159,10 @@ func TestMinusFindsNegativeCostCycle(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1, -1, 4) // reversed expensive edge
 	g.AddEdge(1, 0, -1, -1)
-	a := Build(g, 0, 2, Minus)
+	a := Build(graph.NewCSR(g), 0, 2, Minus)
 	// From v^2: 0^2 → 1^1 → 0^0 → wrap → 0^2; delay 3 ≥ 0, so no negative
 	// cycle: instead check reachability of the wrap source layer.
-	tr, _, ok := shortest.BellmanFord(a.H, a.Start(), shortest.DelayWeight)
+	tr, _, ok := delayBF(a)
 	if !ok {
 		// A negative-delay cycle may exist via other compositions; fine.
 		t.Skip("unexpected negative cycle; covered elsewhere")
@@ -172,8 +188,8 @@ func TestProjectWalkDropsWraps(t *testing.T) {
 	targets := []graph.NodeID{mustNode(t, a, 1, 1), mustNode(t, a, 0, 2), a.Start()}
 	for _, want := range targets {
 		found := false
-		for _, id := range a.H.Out(cur) {
-			if a.H.Edge(id).To == want {
+		for _, id := range a.H.OutRow(cur) {
+			if a.H.Head(id) == want {
 				walk = append(walk, id)
 				cur = want
 				found = true
@@ -212,9 +228,10 @@ func TestLemma15RoundTrip(t *testing.T) {
 			}
 		}
 		B := int64(3)
+		c := graph.NewCSR(g)
 		for v := 0; v < n; v++ {
-			a := Build(g, graph.NodeID(v), B, TwoSided)
-			tr, _, ok := shortest.BellmanFord(a.H, a.Start(), shortest.DelayWeight)
+			a := Build(c, graph.NodeID(v), B, TwoSided)
+			tr, _, ok := delayBF(a)
 			if !ok {
 				continue // negative cycle cases covered by other tests
 			}
@@ -229,12 +246,12 @@ func TestLemma15RoundTrip(t *testing.T) {
 				p, _ := tr.PathTo(a.H, vb)
 				cycles := a.ProjectWalk(p.Edges) // wrap implied: ends at v
 				var totC, totD int64
-				for _, c := range cycles {
-					if c.Validate(g, false) != nil {
+				for _, cyc := range cycles {
+					if cyc.Validate(c, false) != nil {
 						return false
 					}
-					totC += c.Cost(g)
-					totD += c.Delay(g)
+					totC += c.TotalCost(cyc.Edges)
+					totD += c.TotalDelay(cyc.Edges)
 				}
 				if totC != b || totD != tr.Dist[vb] {
 					return false

@@ -203,12 +203,14 @@ func Find(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
 	// Overflow guard: the combined weight multiplies ΔC/ΔD by edge weights
 	// and then by the lexicographic factor K ≈ n·max(|w|); keep the whole
 	// product comfortably inside int64.
+	view := rg.View()
+	n := view.NumNodes()
 	var maxW int64 = 1
-	for _, e := range rg.R.EdgesView() {
-		if a := abs64(e.Cost); a > maxW {
+	for i := 0; i < view.NumEdges(); i++ {
+		if a := abs64(view.Cost(graph.EdgeID(i))); a > maxW {
 			maxW = a
 		}
-		if a := abs64(e.Delay); a > maxW {
+		if a := abs64(view.Delay(graph.EdgeID(i))); a > maxW {
 			maxW = a
 		}
 	}
@@ -216,16 +218,16 @@ func Find(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
 	if a := abs64(p.DeltaD); a > scale {
 		scale = a
 	}
-	if maxW > (int64(1)<<60)/int64(rg.R.NumNodes()+2) {
+	if maxW > (int64(1)<<60)/int64(n+2) {
 		//lint:allow nopanic exact-arithmetic guard; unreachable for MaxWeight-capped instances
 		panic(fmt.Sprintf("bicameral: edge weights up to %d overflow the layered factor; rescale the instance", maxW))
 	}
-	k := int64(rg.R.NumNodes()+1)*maxW + 1
+	k := int64(n+1)*maxW + 1
 	if scale > (int64(1)<<61)/(2*maxW)/k {
 		//lint:allow nopanic exact-arithmetic guard; unreachable for MaxWeight-capped instances
 		panic(fmt.Sprintf("bicameral: weights too large for exact arithmetic "+
 			"(|Δ|=%d, max edge weight %d, n=%d); rescale the instance",
-			scale, maxW, rg.R.NumNodes()))
+			scale, maxW, n))
 	}
 	var (
 		cand  Candidate

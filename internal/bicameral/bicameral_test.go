@@ -184,7 +184,7 @@ func TestFullSweepMatchesDoubling(t *testing.T) {
 // bruteBicameral enumerates all simple residual cycles and reports whether
 // any classifies as bicameral.
 func bruteBicameral(rg *residual.Graph, p Params) bool {
-	g := rg.R
+	g := rg.View()
 	n := g.NumNodes()
 	found := false
 	var dfs func(start, cur graph.NodeID, visited map[graph.NodeID]bool, cost, delay int64)
@@ -192,21 +192,25 @@ func bruteBicameral(rg *residual.Graph, p Params) bool {
 		if found {
 			return
 		}
-		for _, id := range g.Out(cur) {
-			e := g.Edge(id)
-			if e.To == start {
-				if Classify(cost+e.Cost, delay+e.Delay, p) != TypeNone {
+		for out := g.Out(cur); ; {
+			id, ok := out.Next()
+			if !ok {
+				return
+			}
+			to, c, d := g.Head(id), cost+g.Cost(id), delay+g.Delay(id)
+			if to == start {
+				if Classify(c, d, p) != TypeNone {
 					found = true
 					return
 				}
 				continue
 			}
-			if visited[e.To] || e.To < start {
+			if visited[to] || to < start {
 				continue
 			}
-			visited[e.To] = true
-			dfs(start, e.To, visited, cost+e.Cost, delay+e.Delay)
-			delete(visited, e.To)
+			visited[to] = true
+			dfs(start, to, visited, c, d)
+			delete(visited, to)
 		}
 	}
 	for v := 0; v < n && !found; v++ {
@@ -252,7 +256,7 @@ func TestFindCompleteness(t *testing.T) {
 		// Candidate consistency.
 		var totC, totD int64
 		for _, cyc := range cand.Cycles {
-			if cyc.Validate(rg.R, false) != nil {
+			if cyc.Validate(rg.View(), false) != nil {
 				return false
 			}
 			totC += rg.CycleCost(cyc)
@@ -310,7 +314,7 @@ func TestLPEngineValidity(t *testing.T) {
 			return false
 		}
 		for _, cyc := range lpCand.Cycles {
-			if cyc.Validate(rg.R, false) != nil {
+			if cyc.Validate(rg.View(), false) != nil {
 				return false
 			}
 		}
@@ -336,7 +340,7 @@ func TestMinRatioEngineFindsSwapCycle(t *testing.T) {
 		t.Fatal("classification inconsistent")
 	}
 	for _, cyc := range cand.Cycles {
-		if err := cyc.Validate(rg.R, false); err != nil {
+		if err := cyc.Validate(rg.View(), false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -373,7 +377,7 @@ func TestMinRatioEngineValidity(t *testing.T) {
 		}
 		var totC, totD int64
 		for _, cyc := range cand.Cycles {
-			if cyc.Validate(rg.R, false) != nil {
+			if cyc.Validate(rg.View(), false) != nil {
 				return false
 			}
 			totC += rg.CycleCost(cyc)

@@ -73,8 +73,7 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 			maxW = a
 		}
 	}
-	k := int64(rg.R.NumNodes()+1)*maxW + 1
-	wOf := func(e graph.Edge) int64 { return p.Weight(e)*k + e.Delay } //lint:allow weightovf Find's entry guard keeps |Δ|·maxW·K below 2^61
+	k := int64(view.NumNodes()+1)*maxW + 1
 
 	var best Candidate
 	haveBest := false
@@ -95,7 +94,7 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 	// cap, its edges are excluded and detection restarts — the detector
 	// would otherwise keep returning the same dominating cycle and mask
 	// qualifying ones.
-	alive := make([]bool, rg.R.NumEdges())
+	alive := make([]bool, m)
 	for i := range alive {
 		alive[i] = true
 	}
@@ -109,7 +108,8 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 	// Find's overflow guard keeps |du| < 2^61, so the sum cannot overflow.
 	// The lexicographic weights in LinWeight form: W(e)·K + d and W(e)·K + c
 	// expanded over W(e) = ΔC·d − ΔD·c (two's-complement distributivity
-	// keeps them bitwise equal to the closure forms at any magnitude).
+	// keeps them bitwise equal to the unexpanded forms at any magnitude).
+	// The layered sweeps below search under the delay-lexicographic one.
 	weights := []shortest.LinWeight{
 		{Q: -p.DeltaD * k, P: p.DeltaC*k + 1},
 		{Q: -p.DeltaD*k + 1, P: p.DeltaC * k},
@@ -118,10 +118,10 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 	// One workspace serves every sequential search below: the detection
 	// rounds here and the shared layered sweeps (it grows to layered size on
 	// first use). The parallel per-seed sweep takes one workspace per worker.
-	ws := shortest.NewWorkspace(rg.R.NumNodes())
+	ws := shortest.NewWorkspace(view.NumNodes())
 	ws.SetMetrics(o.Metrics.ShortestMetrics())
 	ws.SetCancel(o.Cancel)
-	for round := 0; round <= 2*rg.R.NumEdges()+1; round++ {
+	for round := 0; round <= 2*m+1; round++ {
 		if o.Cancel.Stopped() {
 			// A cancelled kernel reports "no cycle"; don't let that masquerade
 			// as the completeness proof below — bail out as not-found and let
@@ -187,7 +187,7 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 	// phase best-effort (its misses are covered by the enumerator and the
 	// caller's fallbacks).
 	const relaxBudget = 1_000_000
-	nodes64 := int64(rg.R.NumNodes() + rg.R.NumEdges())
+	nodes64 := int64(view.NumNodes() + m)
 	for {
 		if o.Cancel.Check() {
 			break
@@ -197,9 +197,9 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 		}
 		st.BudgetsTried++
 		st.LastBudget = b
-		a := auxgraph.BuildShared(rg.R, seeds, b)
+		a := auxgraph.BuildShared(view, seeds, b)
 		st.Searches++
-		hCyc, negFound, _ := shortest.SPFAAllBoundedInto(ws, a.H, wOf, relaxBudget)
+		hCyc, negFound, _ := shortest.SPFAAllBoundedCSRInto(ws, a.H, weights[0], relaxBudget)
 		if negFound {
 			cands := candidatesFromWalk(rg, a, hCyc.Edges, p, &st)
 			for _, c := range cands {
@@ -221,7 +221,7 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 			if int64(len(seeds))*(2*b+1)*nodes64 > maxStates {
 				perSeed = nil
 			}
-			if cand, found := sweepSeeds(rg, perSeed, b, wOf, relaxBudget, p, o, &st); found {
+			if cand, found := sweepSeeds(rg, perSeed, b, weights[0], relaxBudget, p, o, &st); found {
 				return cand, st, true
 			}
 		}
@@ -294,11 +294,10 @@ func candidatesFromWalk(rg *residual.Graph, a *auxgraph.Aux, hEdges []graph.Edge
 		if len(segment) == 0 {
 			return
 		}
-		first := a.Base.Edge(segment[0])
-		last := a.Base.Edge(segment[len(segment)-1])
+		closed := a.Base.Tail(segment[0]) == a.Base.Head(segment[len(segment)-1])
 		uniq := graph.NewEdgeSet(segment...)
-		if first.From == last.To && uniq.Len() == len(segment) {
-			segCycles := flowSplit(a.Base, segment)
+		if closed && uniq.Len() == len(segment) {
+			segCycles := flow.SplitClosedWalk(a.Base, segment)
 			segSeen := graph.NewEdgeSet()
 			segDisjoint := true
 			var c, d int64
@@ -327,9 +326,4 @@ func candidatesFromWalk(rg *residual.Graph, a *auxgraph.Aux, hEdges []graph.Edge
 	}
 	flush()
 	return out
-}
-
-// flowSplit adapts flow.SplitClosedWalk for the projection of segments.
-func flowSplit(base *graph.Digraph, walk []graph.EdgeID) []graph.Cycle {
-	return flow.SplitClosedWalk(base, walk)
 }

@@ -55,7 +55,7 @@ func findLP(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
 		st.LastBudget = b
 		for _, v := range seeds {
 			for _, kind := range []auxgraph.Kind{auxgraph.Plus, auxgraph.Minus} {
-				a := auxgraph.Build(rg.R, v, b, kind)
+				a := auxgraph.Build(rg.View(), v, b, kind)
 				st.Searches++
 				for _, cand := range lpCandidates(rg, a, p, o, &st) {
 					if cand.Type == TypeNone {
@@ -99,14 +99,15 @@ func lpCandidates(rg *residual.Graph, a *auxgraph.Aux, p Params, o Options, st *
 		return nil
 	}
 	prob := lp.NewProblem(m)
-	for _, e := range h.EdgesView() {
-		prob.SetObjective(int(e.ID), float64(e.Cost))
-		prob.AddBound(int(e.ID), 1)
+	for i := 0; i < m; i++ {
+		prob.SetObjective(i, float64(h.Cost(graph.EdgeID(i))))
+		prob.AddBound(i, 1)
 	}
-	// Conservation at every H vertex that touches an edge.
+	// Conservation at every H vertex that touches an edge. H is never
+	// flipped, so its frozen rows are its adjacency.
 	for v := 0; v < h.NumNodes(); v++ {
-		outs := h.Out(graph.NodeID(v))
-		ins := h.In(graph.NodeID(v))
+		outs := h.OutRow(graph.NodeID(v))
+		ins := h.InRow(graph.NodeID(v))
 		if len(outs) == 0 && len(ins) == 0 {
 			continue
 		}
@@ -122,9 +123,9 @@ func lpCandidates(rg *residual.Graph, a *auxgraph.Aux, p Params, o Options, st *
 	// Σ d(e) x(e) ≤ ΔD (< 0 while the delay bound is violated: forces a
 	// delay-negative circulation).
 	var dRow []lp.Coef
-	for _, e := range h.EdgesView() {
-		if e.Delay != 0 {
-			dRow = append(dRow, lp.Coef{Var: int(e.ID), Val: float64(e.Delay)})
+	for i := 0; i < m; i++ {
+		if d := h.Delay(graph.EdgeID(i)); d != 0 {
+			dRow = append(dRow, lp.Coef{Var: i, Val: float64(d)})
 		}
 	}
 	prob.AddRow(dRow, lp.LE, float64(p.DeltaD))
@@ -173,17 +174,19 @@ func lpCandidates(rg *residual.Graph, a *auxgraph.Aux, p Params, o Options, st *
 // empty or acyclic.
 //
 //krsp:terminates(the pos check ends the walk at the first repeated vertex, within n steps)
-func extractSupportCycle(h *graph.Digraph, x []float64) []graph.EdgeID {
+func extractSupportCycle(h *graph.CSR, x []float64) []graph.EdgeID {
 	const eps = 1e-7
 	next := make(map[graph.NodeID]graph.EdgeID)
 	var start graph.NodeID = -1
-	for _, e := range h.EdgesView() {
-		if x[e.ID] > eps {
-			if _, dup := next[e.From]; !dup {
-				next[e.From] = e.ID
+	for i := 0; i < h.NumEdges(); i++ {
+		if x[i] > eps {
+			id := graph.EdgeID(i)
+			from := h.Tail(id)
+			if _, dup := next[from]; !dup {
+				next[from] = id
 			}
 			if start < 0 {
-				start = e.From
+				start = from
 			}
 		}
 	}
@@ -204,7 +207,7 @@ func extractSupportCycle(h *graph.Digraph, x []float64) []graph.EdgeID {
 		}
 		pos[cur] = len(walk)
 		walk = append(walk, id)
-		cur = h.Edge(id).To
+		cur = h.Head(id)
 		if len(walk) > h.NumEdges() {
 			return nil
 		}

@@ -21,32 +21,37 @@ func findMinRatio(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bo
 	if len(seeds) == 0 {
 		return Candidate{}, st, false
 	}
-	cHat := func(e graph.Edge) int64 {
-		if e.Cost < 0 {
-			return 0
-		}
-		return e.Cost
-	}
 	// One workspace for the whole parametric search: up to ~50 SPFA sweeps
 	// share it (extracted cycles are fresh slices, so reuse is safe).
-	ws := shortest.NewWorkspace(rg.R.NumNodes())
+	view := rg.View()
+	ws := shortest.NewWorkspace(view.NumNodes())
 
 	// Fast exits: a plain negative-delay cycle (the μ → −∞ limit).
 	st.Searches++
-	if _, cyc, ok := shortest.SPFAAllInto(ws, rg.R, shortest.DelayWeight); !ok {
+	if _, cyc, ok := shortest.SPFAAllCSRInto(ws, view, shortest.LinDelay, nil); !ok {
 		if cand, good := classifyCycle(rg, cyc, p, &st); good {
 			return cand, st, true
 		}
 	}
 
 	// Parametric search: the most negative feasible ratio μ = d/ĉ over
-	// cycles with ĉ > 0. Binary search on p/q with integer weights.
+	// cycles with ĉ > 0. Binary search on p/q with integer weights. ĉ lives
+	// in a scratch copy of the view: forward edges carry their nonnegative
+	// problem cost and reversed edges its negation, so zeroing the reversed
+	// costs gives ĉ = max(c, 0), and the weight d − μ·ĉ is the linear
+	// weighting −μ·ĉ + d over it.
+	cHat := view.Clone()
 	sumD := int64(0)
-	for _, e := range rg.R.EdgesView() {
-		if e.Delay >= 0 {
-			sumD += e.Delay //lint:allow weightovf Σ|d| over MaxWeight-capped edges; ≤ m·MaxWeight
+	for i := 0; i < view.NumEdges(); i++ {
+		id := graph.EdgeID(i)
+		delay := view.Delay(id)
+		if view.Reversed(id) {
+			cHat.SetWeights(id, 0, delay)
+		}
+		if delay >= 0 {
+			sumD += delay //lint:allow weightovf Σ|d| over MaxWeight-capped edges; ≤ m·MaxWeight
 		} else {
-			sumD -= e.Delay
+			sumD -= delay
 		}
 	}
 	lo, hi := -sumD, int64(0) // μ ∈ [−Σ|d|, 0]
@@ -54,9 +59,8 @@ func findMinRatio(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bo
 	haveCycle := false
 	for iter := 0; iter < 48 && lo < hi; iter++ {
 		mid := lo + (hi-lo)/2 // try to certify a cycle with d − μ·ĉ < 0
-		w := func(e graph.Edge) int64 { return e.Delay - mid*cHat(e) }
 		st.Searches++
-		if _, cyc, ok := shortest.SPFAAllInto(ws, rg.R, w); !ok {
+		if _, cyc, ok := shortest.SPFAAllCSRInto(ws, cHat, shortest.LinCombine(-mid, 1), nil); !ok {
 			bestCycle = cyc
 			haveCycle = true
 			hi = mid // a cycle with ratio < mid exists: tighten upward bound

@@ -110,7 +110,7 @@ type seedResult struct {
 // escalate the budget.
 //
 //krsp:terminates(per-seed searches are relaxation-budgeted, and the stop-index CAS retries on a monotonically decreasing value)
-func sweepSeeds(rg *residual.Graph, perSeed []graph.NodeID, b int64, wOf shortest.Weight, relaxBudget int, p Params, o Options, st *Stats) (Candidate, bool) {
+func sweepSeeds(rg *residual.Graph, perSeed []graph.NodeID, b int64, lw shortest.LinWeight, relaxBudget int, p Params, o Options, st *Stats) (Candidate, bool) {
 	n := len(perSeed)
 	if n == 0 {
 		return Candidate{}, false
@@ -140,9 +140,9 @@ func sweepSeeds(rg *residual.Graph, perSeed []graph.NodeID, b int64, wOf shortes
 	var stopAt atomic.Int64 // lowest seed index with a qualifying candidate
 	stopAt.Store(int64(n))
 	run := func(i, worker int) {
-		av := auxgraph.Build(rg.R, perSeed[i], b, auxgraph.TwoSided)
+		av := auxgraph.Build(rg.View(), perSeed[i], b, auxgraph.TwoSided)
 		r := seedResult{ran: true}
-		cyc, found, _ := shortest.SPFAAllBoundedInto(wss[worker], av.H, wOf, relaxBudget)
+		cyc, found, _ := shortest.SPFAAllBoundedCSRInto(wss[worker], av.H, lw, relaxBudget)
 		if found {
 			for _, c := range candidatesFromWalk(rg, av, cyc.Edges, p, &r.local) {
 				if c.Type != TypeNone {
@@ -218,7 +218,7 @@ type rootResult struct {
 // first type-0 candidate (non-adversarial) or when its step budget runs
 // out; otherwise it reduces candidates with better() in discovery order.
 func enumerateRoot(rg *residual.Graph, start graph.NodeID, p Params, o Options, scr *enumScratch) rootResult {
-	g := rg.R
+	g := rg.View()
 	res := rootResult{ran: true}
 	var dfs func(cur graph.NodeID, cost, delay int64) bool
 	dfs = func(cur graph.NodeID, cost, delay int64) bool {
@@ -229,10 +229,14 @@ func enumerateRoot(rg *residual.Graph, start graph.NodeID, p Params, o Options, 
 			res.exhausted = true
 			return true
 		}
-		for _, id := range g.Out(cur) {
-			e := g.Edge(id)
-			if e.To == start {
-				c, d := cost+e.Cost, delay+e.Delay //lint:allow weightovf DFS path aggregates ≤ n·MaxWeight
+		for out := g.Out(cur); ; {
+			id, ok := out.Next()
+			if !ok {
+				break
+			}
+			to := g.Head(id)
+			if to == start {
+				c, d := cost+g.Cost(id), delay+g.Delay(id) //lint:allow weightovf DFS path aggregates ≤ n·MaxWeight
 				ty := Classify(c, d, p)
 				if ty != TypeNone {
 					res.candidates++
@@ -248,14 +252,14 @@ func enumerateRoot(rg *residual.Graph, start graph.NodeID, p Params, o Options, 
 				}
 				continue
 			}
-			if e.To < start || scr.visited[e.To] {
+			if to < start || scr.visited[to] {
 				continue
 			}
-			scr.visited[e.To] = true
+			scr.visited[to] = true
 			scr.stack = append(scr.stack, id)
-			stop := dfs(e.To, cost+e.Cost, delay+e.Delay) //lint:allow weightovf DFS path aggregates ≤ n·MaxWeight
+			stop := dfs(to, cost+g.Cost(id), delay+g.Delay(id)) //lint:allow weightovf DFS path aggregates ≤ n·MaxWeight
 			scr.stack = scr.stack[:len(scr.stack)-1]
-			scr.visited[e.To] = false
+			scr.visited[to] = false
 			if stop {
 				return true
 			}
@@ -276,8 +280,7 @@ func enumerateRoot(rg *residual.Graph, start graph.NodeID, p Params, o Options, 
 //
 //krsp:terminates(per-root DFS is step-budgeted, the frontier only advances, and the stop-index CAS retries on a monotonically decreasing value)
 func enumerateQualifying(rg *residual.Graph, p Params, o Options, st *Stats) (best Candidate, found, exhausted bool) {
-	g := rg.R
-	n := g.NumNodes()
+	n := rg.View().NumNodes()
 	if n == 0 {
 		return Candidate{}, false, false
 	}

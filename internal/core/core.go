@@ -150,10 +150,9 @@ type Options struct {
 	// sweep (see bicameral.Options.Workers). ≤ 1 runs serially; results are
 	// bit-identical for every value.
 	Workers int
-	// AllowRelaxedCap permits consuming the relaxed-cap fallback candidate
-	// when the capped search is exhausted (keeps feasibility-first
-	// behaviour at the price of the cost bound). Defaults to true in
-	// Solve; set NoRelaxedCap to disable.
+	// NoRelaxedCap forbids consuming the relaxed-cap fallback candidate
+	// when the capped search is exhausted. By default Solve consumes it,
+	// keeping feasibility-first behaviour at the price of the cost bound.
 	NoRelaxedCap bool
 	// Metrics, when non-nil, receives solver telemetry: outcome counters
 	// recorded from Stats after each Solve/SolveScaled, per-phase duration

@@ -169,8 +169,8 @@ func RunE4(cfg Config) (*Table, error) {
 	ins, pathEdges, budget := gen.Figure2()
 	rg := residual.Build(ins.G, graph.NewEdgeSet(pathEdges...))
 	for _, kind := range []auxgraph.Kind{auxgraph.Plus, auxgraph.Minus, auxgraph.TwoSided} {
-		a := auxgraph.Build(rg.R, ins.S, budget, kind)
-		rt, mm := roundtripCount(rg.R, a)
+		a := auxgraph.Build(rg.View(), ins.S, budget, kind)
+		rt, mm := roundtripCount(a)
 		t.Add("figure2", kind.String(), budget, a.H.NumNodes(), a.H.NumEdges(), rt, mm)
 	}
 	// Random residual graphs.
@@ -187,8 +187,8 @@ func RunE4(cfg Config) (*Table, error) {
 		// are the vertices the bicameral search actually roots at.
 		var rt, mm, nodes, edges int
 		for _, v := range rrg.ReversedSeeds() {
-			a := auxgraph.Build(rrg.R, v, 6, auxgraph.TwoSided)
-			r, m := roundtripCount(rrg.R, a)
+			a := auxgraph.Build(rrg.View(), v, 6, auxgraph.TwoSided)
+			r, m := roundtripCount(a)
 			rt += r
 			mm += m
 			nodes, edges = a.H.NumNodes(), a.H.NumEdges()
@@ -201,18 +201,19 @@ func RunE4(cfg Config) (*Table, error) {
 
 // roundtripCount exercises Lemma 15: for every layer copy of the anchor
 // reachable without negative cycles, project the walk and compare.
-func roundtripCount(base *graph.Digraph, a *auxgraph.Aux) (roundtrips, mismatches int) {
-	tr, hCyc, ok := shortest.BellmanFord(a.H, a.Start(), shortest.DelayWeight)
+func roundtripCount(a *auxgraph.Aux) (roundtrips, mismatches int) {
+	base := a.Base
+	tr, hCyc, ok := shortest.BellmanFordCSRInto(shortest.NewWorkspace(a.H.NumNodes()), a.H, a.Start(), shortest.LinDelay)
 	if !ok {
 		// A negative-delay cycle in H: its projection must preserve both
 		// measures exactly (H real edges carry the base weights, wraps 0).
 		var c, d int64
 		for _, cyc := range a.Project(hCyc) {
-			c += cyc.Cost(base)
-			d += cyc.Delay(base)
+			c += base.TotalCost(cyc.Edges)
+			d += base.TotalDelay(cyc.Edges)
 		}
 		roundtrips++
-		if c != hCyc.Cost(a.H) || d != hCyc.Delay(a.H) {
+		if c != a.H.TotalCost(hCyc.Edges) || d != a.H.TotalDelay(hCyc.Edges) {
 			mismatches++
 		}
 		return roundtrips, mismatches
@@ -226,8 +227,8 @@ func roundtripCount(base *graph.Digraph, a *auxgraph.Aux) (roundtrips, mismatche
 		cycles := a.ProjectWalk(p.Edges)
 		var c, d int64
 		for _, cyc := range cycles {
-			c += cyc.Cost(base)
-			d += cyc.Delay(base)
+			c += base.TotalCost(cyc.Edges)
+			d += base.TotalDelay(cyc.Edges)
 		}
 		roundtrips++
 		wantCost := l - a.StartLayer()

@@ -157,20 +157,20 @@ func shortcutWalk(g *graph.Digraph, walk []graph.EdgeID, s graph.NodeID) (graph.
 }
 
 // SplitClosedWalk splits a closed walk (edge sequence returning to its
-// start) into vertex-simple cycles.
-func SplitClosedWalk(g *graph.Digraph, walk []graph.EdgeID) []graph.Cycle {
+// start) of g — a Digraph or a CSR view — into vertex-simple cycles.
+func SplitClosedWalk(g graph.Endpoints, walk []graph.EdgeID) []graph.Cycle {
 	if len(walk) == 0 {
 		return nil
 	}
 	var out []graph.Cycle
 	var stackEdges []graph.EdgeID
 	stackPos := map[graph.NodeID]int{}
-	start := g.Edge(walk[0]).From
+	start := g.Tail(walk[0])
 	stackPos[start] = 0
 	cur := start
 	for _, id := range walk {
 		stackEdges = append(stackEdges, id)
-		cur = g.Edge(id).To
+		cur = g.Head(id)
 		if at, seen := stackPos[cur]; seen {
 			cyc := append([]graph.EdgeID(nil), stackEdges[at:]...)
 			out = append(out, graph.Cycle{Edges: cyc})

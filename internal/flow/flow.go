@@ -310,14 +310,11 @@ func SuurballeMinSum(g *graph.Digraph, s, t graph.NodeID, k int) (graph.Solution
 	if err != nil {
 		return graph.Solution{}, err
 	}
-	paths, cycles, err := Decompose(g, f.Edges, s, t, k)
+	// Min-cost flows over nonnegative weights never need cycles, but a
+	// zero-cost cycle may appear; drop it (it only adds delay).
+	paths, _, err := Decompose(g, f.Edges, s, t, k)
 	if err != nil {
 		return graph.Solution{}, err
-	}
-	if len(cycles) != 0 {
-		// Min-cost flows over nonnegative weights never need cycles, but a
-		// zero-cost cycle may appear; drop them (they only add delay).
-		_ = cycles
 	}
 	return graph.Solution{Paths: paths}, nil
 }

@@ -1,29 +1,26 @@
 package graph
 
-import "fmt"
-
-// CSR is a frozen compressed-sparse-row view of a Digraph: flat row-start
-// offsets into packed adjacency arrays, plus packed per-edge endpoint and
-// weight arrays. It exists because the solver's hot kernels (Dijkstra/SPFA/
-// Bellman–Ford sweeps, min-cost-flow augmentation rounds) spend their time
-// chasing the Digraph's slice-of-slices adjacency, which scatters every
-// row header across the heap; the CSR layout turns a row visit into a
-// contiguous scan and takes solves from toy sizes to N=10⁴–10⁵.
+// CSR is a frozen compressed-sparse-row graph: flat row-start offsets into
+// packed adjacency arrays, plus packed per-edge endpoint and weight arrays.
+// It is the one graph representation under the solve path — the problem
+// graph's view for phase 1, the residual graph G̃, and the layered auxiliary
+// graphs H — because the hot kernels (Dijkstra/SPFA/Bellman–Ford sweeps,
+// min-cost-flow augmentation rounds) turn a row visit into a contiguous scan
+// instead of chasing a slice-of-slices adjacency.
 //
-// Topology is frozen at construction: rows always list edges in the
-// orientation the source graph had when NewCSR ran, ascending by edge ID
-// (AddEdge order; Digraph.FlipEdge maintains the same invariant). Residual
+// Topology is frozen at construction: rows list edges in the orientation
+// they had when the CSR was packed, ascending by edge ID. Residual
 // maintenance never re-packs rows — Flip toggles a per-edge orientation bit
 // and negates the packed weights in place, and SetWeights patches weights
-// in place. Each mutation bumps an epoch counter so callers that cache
-// derived state (orderings, potentials) can detect staleness cheaply.
+// in place.
 //
-// Kernels recover the CURRENT adjacency of a partially-flipped CSR by
-// merging two ID-ascending streams: the non-reversed entries of OutRow(v)
-// and the reversed entries of InRow(v). Because both streams ascend and a
-// Digraph's adjacency lists are kept ID-sorted by FlipEdge, the merge
-// enumerates exactly the edge sequence Digraph.Out(v) would — which is what
-// keeps CSR kernels bit-identical to their Digraph counterparts.
+// The CURRENT adjacency of a partially-flipped CSR is the merge of two
+// ID-ascending streams: the non-reversed entries of OutRow(v) and the
+// reversed entries of InRow(v). The merge enumerates v's current out-edges
+// in ascending ID order — exactly the order a graph freshly built with the
+// current orientations would list them, so a flipped view searches
+// identically to a rebuilt one. Kernels inline the merge; other callers use
+// Out.
 type CSR struct {
 	n int
 	// outStart/outEdge and inStart/inEdge are the forward and reverse
@@ -42,42 +39,70 @@ type CSR struct {
 	// weights relative to the frozen orientation.
 	rev   []bool
 	flips int
-	epoch uint64
 }
 
-// NewCSR packs the graph's current topology and weights into a frozen CSR
-// view. Cost: O(n + m), about ten allocations total, independent of later
+// NewCSR packs the graph's topology and weights into a frozen CSR view.
+// Cost: O(n + m), about ten allocations total, independent of later
 // Flip/SetWeights traffic.
 func NewCSR(g *Digraph) *CSR {
-	n, m := g.NumNodes(), g.NumEdges()
+	m := g.NumEdges()
+	from, to := make([]NodeID, m), make([]NodeID, m)
+	cost, delay := make([]int64, m), make([]int64, m)
+	for i, e := range g.EdgesView() {
+		from[i], to[i], cost[i], delay[i] = e.From, e.To, e.Cost, e.Delay
+	}
+	return PackCSR(g.NumNodes(), from, to, cost, delay)
+}
+
+// PackCSR packs an n-vertex graph given as parallel per-edge arrays (edge
+// i runs from[i]→to[i] with weights cost[i], delay[i]) into a CSR view,
+// taking ownership of the four arrays. Rows list edge IDs ascending, the
+// order a Digraph built by AddEdge in ID order would list them. Derived
+// graphs (the layered auxiliary graphs) are built straight into arrays and
+// packed here without an intermediate Digraph.
+func PackCSR(n int, from, to []NodeID, cost, delay []int64) *CSR {
+	m := len(from)
 	c := &CSR{
 		n:        n,
 		outStart: make([]int32, n+1),
 		outEdge:  make([]EdgeID, m),
 		inStart:  make([]int32, n+1),
 		inEdge:   make([]EdgeID, m),
-		from:     make([]NodeID, m),
-		to:       make([]NodeID, m),
-		cost:     make([]int64, m),
-		delay:    make([]int64, m),
+		from:     from,
+		to:       to,
+		cost:     cost,
+		delay:    delay,
 		rev:      make([]bool, m),
 	}
-	var o, i int32
-	for v := 0; v < n; v++ {
-		c.outStart[v] = o
-		o += int32(copy(c.outEdge[o:], g.Out(NodeID(v))))
-		c.inStart[v] = i
-		i += int32(copy(c.inEdge[i:], g.In(NodeID(v))))
+	// Counting sort: after the prefix sums, start[v] is the END of row v;
+	// placing edges in descending ID order walks each row's cursor down to
+	// its start, leaving every row ascending and start[v] at its beginning.
+	for i := 0; i < m; i++ {
+		c.outStart[from[i]]++
+		c.inStart[to[i]]++
 	}
-	c.outStart[n] = o
-	c.inStart[n] = i
-	for idx, e := range g.EdgesView() {
-		c.from[idx] = e.From
-		c.to[idx] = e.To
-		c.cost[idx] = e.Cost
-		c.delay[idx] = e.Delay
+	for v := 1; v <= n; v++ {
+		c.outStart[v] += c.outStart[v-1]
+		c.inStart[v] += c.inStart[v-1]
+	}
+	for i := m - 1; i >= 0; i-- {
+		c.outStart[from[i]]--
+		c.outEdge[c.outStart[from[i]]] = EdgeID(i)
+		c.inStart[to[i]]--
+		c.inEdge[c.inStart[to[i]]] = EdgeID(i)
 	}
 	return c
+}
+
+// Clone returns an independent copy of the view: orientation bits and
+// weights are copied, so Flip and SetWeights on the clone leave c untouched,
+// while the frozen rows and endpoints are shared.
+func (c *CSR) Clone() *CSR {
+	d := *c
+	d.cost = append([]int64(nil), c.cost...)
+	d.delay = append([]int64(nil), c.delay...)
+	d.rev = append([]bool(nil), c.rev...)
+	return &d
 }
 
 // NumNodes reports the number of vertices.
@@ -139,20 +164,14 @@ func (c *CSR) Delay(id EdgeID) int64 { return c.delay[id] }
 //krsp:inbounds
 func (c *CSR) Reversed(id EdgeID) bool { return c.rev[id] }
 
-// Mixed reports whether any edge is currently reversed. Kernels use it to
-// skip the two-stream merge entirely on never-flipped views (problem
-// graphs), where OutRow alone IS the current adjacency.
+// Mixed reports whether any edge is currently reversed. On a never-flipped
+// view (the problem graph, a layered graph) OutRow alone IS the current
+// adjacency, so kernels skip the reverse-row half of the merge.
 func (c *CSR) Mixed() bool { return c.flips > 0 }
 
-// Epoch returns the mutation counter: it increments on every Flip and
-// SetWeights, so cached state derived from the view can be invalidated by
-// comparing epochs instead of diffing arrays.
-func (c *CSR) Epoch() uint64 { return c.epoch }
-
-// Flip reverses edge id in place — the residual-graph primitive, mirroring
-// Digraph.FlipEdge: direction toggles, both weights negate, the ID stays.
-// Rows are untouched (orientation lives in the rev bit), so a flip is O(1)
-// where the Digraph's sorted re-insertion is O(deg).
+// Flip reverses edge id in place — the residual-graph primitive of
+// Definition 6: direction toggles, both weights negate, the ID stays. Rows
+// are untouched (orientation lives in the rev bit), so a flip is O(1).
 //
 //krsp:inbounds
 func (c *CSR) Flip(id EdgeID) {
@@ -164,68 +183,63 @@ func (c *CSR) Flip(id EdgeID) {
 	c.rev[id] = !c.rev[id]
 	c.cost[id] = -c.cost[id]
 	c.delay[id] = -c.delay[id]
-	c.epoch++
 }
 
-// SetWeights overwrites the CURRENT cost and delay of edge id in place,
-// mirroring Digraph.SetEdgeWeights on the current orientation.
+// SetWeights overwrites the CURRENT cost and delay of edge id in place.
 //
 //krsp:inbounds
 func (c *CSR) SetWeights(id EdgeID, cost, delay int64) {
 	c.cost[id] = cost
 	c.delay[id] = delay
-	c.epoch++
 }
 
-// Validate checks the view against the Digraph it should currently mirror:
-// same size, same per-edge endpoints and weights under the rev bits, and
-// row merges reproducing g's adjacency order exactly. Tests and the
-// residual self-heal path use it; it is O(n + m).
-func (c *CSR) Validate(g *Digraph) error {
-	if c.n != g.NumNodes() || c.NumEdges() != g.NumEdges() {
-		return fmt.Errorf("csr: size mismatch: view %d/%d vs graph %d/%d",
-			c.n, c.NumEdges(), g.NumNodes(), g.NumEdges())
+// TotalCost sums the current cost of the identified edges.
+func (c *CSR) TotalCost(ids []EdgeID) int64 {
+	var s int64
+	for _, id := range ids {
+		s += c.cost[id] //lint:allow weightovf Σ over ≤ m MaxWeight-capped weights stays < 2^61
 	}
-	for i := 0; i < c.NumEdges(); i++ {
-		id := EdgeID(i)
-		e := g.Edge(id)
-		if c.Tail(id) != e.From || c.Head(id) != e.To || c.cost[i] != e.Cost || c.delay[i] != e.Delay {
-			return fmt.Errorf("csr: edge %d is %d→%d (%d,%d), graph has %d→%d (%d,%d)",
-				id, c.Tail(id), c.Head(id), c.cost[i], c.delay[i], e.From, e.To, e.Cost, e.Delay)
-		}
+	return s
+}
+
+// TotalDelay sums the current delay of the identified edges.
+func (c *CSR) TotalDelay(ids []EdgeID) int64 {
+	var s int64
+	for _, id := range ids {
+		s += c.delay[id] //lint:allow weightovf Σ over ≤ m MaxWeight-capped weights stays < 2^61
 	}
-	for v := 0; v < c.n; v++ {
-		row := g.Out(NodeID(v))
-		k := 0
-		outRow, inRow := c.OutRow(NodeID(v)), c.InRow(NodeID(v))
-		i, j := 0, 0
-		for {
-			for i < len(outRow) && c.rev[outRow[i]] {
-				i++
-			}
-			for j < len(inRow) && !c.rev[inRow[j]] {
-				j++
-			}
-			var id EdgeID
-			switch {
-			case i < len(outRow) && (j >= len(inRow) || outRow[i] < inRow[j]):
-				id = outRow[i]
-				i++
-			case j < len(inRow):
-				id = inRow[j]
-				j++
-			default:
-				if k != len(row) {
-					return fmt.Errorf("csr: out row %d has %d merged edges, graph has %d", v, k, len(row))
-				}
-				goto nextRow
-			}
-			if k >= len(row) || row[k] != id {
-				return fmt.Errorf("csr: out row %d diverges from graph adjacency at position %d (edge %d)", v, k, id)
-			}
-			k++
-		}
-	nextRow:
+	return s
+}
+
+// OutCursor walks one vertex's CURRENT out-edges in ascending ID order (the
+// two-stream row merge described on CSR). The zero value is exhausted.
+type OutCursor struct {
+	c       *CSR
+	out, in []EdgeID
+}
+
+// Out returns a cursor over v's current out-edges.
+func (c *CSR) Out(v NodeID) OutCursor {
+	return OutCursor{c: c, out: c.OutRow(v), in: c.InRow(v)}
+}
+
+// Next returns the next out-edge, or ok=false once the row is exhausted.
+//
+//krsp:terminates(each skip drops one entry of a finite row)
+func (it *OutCursor) Next() (id EdgeID, ok bool) {
+	for len(it.out) > 0 && it.c.rev[it.out[0]] {
+		it.out = it.out[1:]
 	}
-	return nil
+	for len(it.in) > 0 && !it.c.rev[it.in[0]] {
+		it.in = it.in[1:]
+	}
+	switch {
+	case len(it.out) > 0 && (len(it.in) == 0 || it.out[0] < it.in[0]):
+		id, it.out = it.out[0], it.out[1:]
+	case len(it.in) > 0:
+		id, it.in = it.in[0], it.in[1:]
+	default:
+		return -1, false
+	}
+	return id, true
 }

@@ -101,47 +101,19 @@ func (g *Digraph) SetEdgeWeights(id EdgeID, cost, delay int64) {
 	e.Delay = delay
 }
 
-// FlipEdge reverses the direction of edge id in place, negating its cost
-// and delay, and keeping its ID. This is the residual-graph primitive: a
-// solution edge u→v (c, d) becomes the reversed copy v→u (−c, −d) and vice
-// versa, without rebuilding the graph.
-//
-// Adjacency lists built by AddEdge alone are ascending in edge ID, and
-// searches iterate them in list order, so FlipEdge re-inserts in sorted
-// position: a graph mutated by any sequence of flips has exactly the
-// adjacency a fresh construction with the final directions would have,
-// which keeps incremental residual maintenance bit-identical to a rebuild.
-func (g *Digraph) FlipEdge(id EdgeID) {
-	e := &g.edges[id]
-	g.removeAdj(&g.out[e.From], id)
-	g.removeAdj(&g.in[e.To], id)
-	e.From, e.To = e.To, e.From
-	e.Cost, e.Delay = -e.Cost, -e.Delay
-	g.insertAdj(&g.out[e.From], id)
-	g.insertAdj(&g.in[e.To], id)
-}
+// Tail returns the source vertex of edge id.
+func (g *Digraph) Tail(id EdgeID) NodeID { return g.edges[id].From }
 
-// removeAdj deletes id from an adjacency list, preserving the order of the
-// remaining entries.
-func (g *Digraph) removeAdj(list *[]EdgeID, id EdgeID) {
-	l := *list
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= id })
-	if i == len(l) || l[i] != id {
-		//lint:allow nopanic adjacency-consistency invariant; violation means a corrupted Digraph
-		panic(fmt.Sprintf("graph: edge %d missing from adjacency", id))
-	}
-	*list = append(l[:i], l[i+1:]...)
-}
+// Head returns the target vertex of edge id.
+func (g *Digraph) Head(id EdgeID) NodeID { return g.edges[id].To }
 
-// insertAdj inserts id into an ascending adjacency list at its sorted
-// position.
-func (g *Digraph) insertAdj(list *[]EdgeID, id EdgeID) {
-	l := *list
-	i := sort.Search(len(l), func(i int) bool { return l[i] >= id })
-	l = append(l, 0)
-	copy(l[i+1:], l[i:])
-	l[i] = id
-	*list = l
+// Endpoints resolves edge IDs to their current endpoints. Digraph and CSR
+// both implement it, so the walk helpers (Cycle.Validate, tree path
+// reconstruction, closed-walk splitting) serve either representation.
+type Endpoints interface {
+	NumEdges() int
+	Tail(id EdgeID) NodeID
+	Head(id EdgeID) NodeID
 }
 
 // Out returns the IDs of edges leaving v. The returned slice is owned by

@@ -79,7 +79,7 @@ func (p Path) Validate(g *Digraph, s, t NodeID, simple bool) error {
 	return nil
 }
 
-// String renders the path as a vertex chain, e.g. "0→3→5".
+// Format renders the path as a vertex chain, e.g. "0->3->5".
 func (p Path) Format(g *Digraph) string {
 	nodes := p.Nodes(g)
 	if len(nodes) == 0 {
@@ -112,36 +112,33 @@ func (c Cycle) Delay(g *Digraph) int64 { return g.TotalDelay(c.Edges) }
 
 // Validate checks that c is a contiguous closed walk in g with no repeated
 // edge. Vertices may repeat only if simple is false.
-func (c Cycle) Validate(g *Digraph, simple bool) error {
+func (c Cycle) Validate(g Endpoints, simple bool) error {
 	if len(c.Edges) == 0 {
 		return fmt.Errorf("graph: empty cycle")
 	}
+	var start, cur NodeID
+	seenE := map[EdgeID]bool{}
+	seenV := map[NodeID]bool{}
 	for i, id := range c.Edges {
 		if id < 0 || int(id) >= g.NumEdges() {
 			return fmt.Errorf("graph: cycle edge %d (#%d) unknown", id, i)
 		}
-	}
-	start := g.Edge(c.Edges[0]).From
-	cur := start
-	seenE := map[EdgeID]bool{}
-	seenV := map[NodeID]bool{}
-	for i, id := range c.Edges {
-		if int(id) >= g.NumEdges() || id < 0 {
-			return fmt.Errorf("graph: cycle edge %d (#%d) unknown", id, i)
+		if i == 0 {
+			start = g.Tail(id)
+			cur = start
 		}
 		if seenE[id] {
 			return fmt.Errorf("graph: cycle repeats edge %d", id)
 		}
 		seenE[id] = true
-		e := g.Edge(id)
-		if e.From != cur {
-			return fmt.Errorf("graph: cycle edge #%d starts at %d, want %d", i, e.From, cur)
+		if from := g.Tail(id); from != cur {
+			return fmt.Errorf("graph: cycle edge #%d starts at %d, want %d", i, from, cur)
 		}
 		if simple && seenV[cur] {
 			return fmt.Errorf("graph: cycle revisits vertex %d", cur)
 		}
 		seenV[cur] = true
-		cur = e.To
+		cur = g.Head(id)
 	}
 	if cur != start {
 		return fmt.Errorf("graph: cycle ends at %d, want %d", cur, start)

@@ -14,21 +14,15 @@ import (
 	"repro/internal/obs/rec"
 )
 
-// Graph is a residual graph plus the bookkeeping to map residual edges back
-// to original edges and to apply residual cycles to solutions.
+// Graph is a residual graph plus the bookkeeping to apply residual cycles to
+// solutions. Residual edge IDs equal problem edge IDs: residual edge id is
+// problem edge id, reversed exactly when id is in the solution.
 type Graph struct {
-	// R is the residual multigraph. Its vertex set equals the original's.
-	R *graph.Digraph
 	// Orig is the problem graph G.
 	Orig *graph.Digraph
-	// origEdge[i] is the original edge behind residual edge i.
-	origEdge []graph.EdgeID
-	// reversed[i] reports whether residual edge i is a reversed solution
-	// edge (negated weights).
-	reversed []bool
-	// view is the CSR mirror of R, maintained in lockstep: Build packs it
-	// once, Update patches orientation bits in place (no re-pack). The
-	// bicameral fast path runs its detection kernels on it.
+	// view is G̃ as a CSR: packed from Orig, then every solution edge
+	// flipped, so its rev bits are exactly the solution membership. Update
+	// flips edges in place (no re-pack). Every search runs on it.
 	view *graph.CSR
 	// sol is the solution edge set the residual was built against.
 	sol graph.EdgeSet
@@ -42,82 +36,39 @@ type Graph struct {
 func (rg *Graph) SetRecorder(r *rec.Recorder) { rg.fr = r }
 
 // Build constructs G̃ with respect to the unit flow `sol` (the edges used
-// by the current k disjoint paths). Residual edge IDs equal original edge
-// IDs by construction (edges are inserted in insertion order), which both
-// Update and SolutionCycles rely on.
+// by the current k disjoint paths): G packed as a CSR, then one Flip — the
+// Definition-6 transform (reverse, negate both weights) — per solution edge.
 func Build(g *graph.Digraph, sol graph.EdgeSet) *Graph {
-	m := g.NumEdges()
-	// Clone the input and flip the solution edges in place: FlipEdge is
-	// exactly the Definition-6 transform (reverse, negate both weights) and
-	// re-inserts at sorted adjacency position, so the result is identical to
-	// re-inserting every edge one by one — at a fraction of the allocations.
-	r := g.Clone()
-	res := &Graph{
-		R: r, Orig: g, sol: sol.Clone(),
-		origEdge: make([]graph.EdgeID, m),
-		reversed: make([]bool, m),
-	}
-	for i := 0; i < m; i++ {
-		id := graph.EdgeID(i)
-		res.origEdge[i] = id
-		if sol.Has(id) {
-			r.FlipEdge(id)
-			res.reversed[i] = true
-		}
-	}
-	// Pack the CSR view AFTER the flips: its frozen orientation is the
-	// residual's current one, so a fresh Build always starts with clean
-	// (all-forward) rev bits regardless of the solution it encodes.
-	res.view = graph.NewCSR(r)
+	res := &Graph{Orig: g, view: graph.NewCSR(g), sol: sol.Clone()}
+	sol.Each(res.view.Flip) // flips commute: set order is irrelevant
 	return res
 }
 
-// View returns the CSR mirror of R. It tracks every Update incrementally
-// (epoch bumps on each flipped edge); treat it as read-only.
+// View returns G̃ as a CSR. It tracks every Update in place; treat it as
+// read-only.
 func (rg *Graph) View() *graph.CSR { return rg.view }
 
 // Update re-points the residual graph at the solution obtained by applying
 // the given edge-disjoint residual cycles (the same set a preceding
 // ApplyAll consumed): every residual edge on a cycle flips direction and
-// sign in place, and the tracked solution set is updated accordingly.
-// Update is the incremental counterpart of Build — after a successful call,
-// the receiver is bit-identical (edges, adjacency order, bookkeeping) to
-// Build(Orig, newSol) — but costs O(Σ|O_i|·log deg) instead of O(m), which
-// is what makes per-iteration residual maintenance in the cancellation loop
-// cheap. The cycles are validated first; on error the receiver is
-// unchanged.
+// sign in place — O(1) per edge — and the tracked solution set is updated
+// accordingly. After a successful call the receiver is identical (edges,
+// orientation bits, weights) to Build(Orig, newSol), at O(Σ|O_i|) instead
+// of O(m), which is what makes per-iteration residual maintenance in the
+// cancellation loop cheap. The cycles are validated first; on error the
+// receiver is unchanged.
 func (rg *Graph) Update(applied []graph.Cycle) error {
-	seen := graph.NewEdgeSet()
-	for _, cyc := range applied {
-		if err := cyc.Validate(rg.R, false); err != nil {
-			return fmt.Errorf("residual: bad cycle: %w", err)
-		}
-		for _, id := range cyc.Edges {
-			if seen.Has(id) {
-				return fmt.Errorf("residual: cycles share residual edge %d", id)
-			}
-			seen.Add(id)
-			orig := rg.origEdge[id]
-			if rg.reversed[id] {
-				if !rg.sol.Has(orig) {
-					return fmt.Errorf("residual: cycle removes absent edge %d", orig)
-				}
-			} else if rg.sol.Has(orig) {
-				return fmt.Errorf("residual: cycle re-adds edge %d", orig)
-			}
-		}
+	if err := rg.check(applied); err != nil {
+		return err
 	}
 	flipped := int64(0)
 	for _, cyc := range applied {
 		for _, id := range cyc.Edges {
-			orig := rg.origEdge[id]
-			if rg.reversed[id] {
-				rg.sol.Remove(orig)
+			if rg.view.Reversed(id) {
+				rg.sol.Remove(id)
 			} else {
-				rg.sol.Add(orig)
+				rg.sol.Add(id)
 			}
-			rg.reversed[id] = !rg.reversed[id]
-			rg.R.FlipEdge(id)
 			rg.view.Flip(id)
 			flipped++
 		}
@@ -126,11 +77,28 @@ func (rg *Graph) Update(applied []graph.Cycle) error {
 	return nil
 }
 
-// OrigEdge maps a residual edge ID to its originating edge ID.
-func (rg *Graph) OrigEdge(id graph.EdgeID) graph.EdgeID { return rg.origEdge[id] }
+// check validates a set of residual cycles: each must be a closed walk of
+// G̃, and no residual edge may appear twice across the set. That is all a
+// cancellation needs: G̃'s reversed edges are exactly the solution edges,
+// so forward edges always enter and reversed edges always leave it.
+func (rg *Graph) check(cycles []graph.Cycle) error {
+	seen := graph.NewEdgeSet()
+	for _, cyc := range cycles {
+		if err := cyc.Validate(rg.view, false); err != nil {
+			return fmt.Errorf("residual: bad cycle: %w", err)
+		}
+		for _, id := range cyc.Edges {
+			if seen.Has(id) {
+				return fmt.Errorf("residual: cycles share residual edge %d", id)
+			}
+			seen.Add(id)
+		}
+	}
+	return nil
+}
 
 // Reversed reports whether residual edge id is a reversed solution edge.
-func (rg *Graph) Reversed(id graph.EdgeID) bool { return rg.reversed[id] }
+func (rg *Graph) Reversed(id graph.EdgeID) bool { return rg.view.Reversed(id) }
 
 // Solution returns (a copy of) the solution edge set this residual graph
 // was built against.
@@ -141,20 +109,19 @@ func (rg *Graph) Solution() graph.EdgeSet { return rg.sol.Clone() }
 // traverse at least one reversed edge (original weights are nonnegative),
 // so cycle searches need only be seeded at these vertices.
 func (rg *Graph) ReversedSeeds() []graph.NodeID {
-	seen := make([]bool, rg.R.NumNodes())
+	v := rg.view
+	seen := make([]bool, v.NumNodes())
 	var out []graph.NodeID
-	for i, rev := range rg.reversed {
-		if !rev {
+	for i := 0; i < v.NumEdges(); i++ {
+		id := graph.EdgeID(i)
+		if !v.Reversed(id) {
 			continue
 		}
-		e := rg.R.Edge(graph.EdgeID(i))
-		if !seen[e.From] {
-			seen[e.From] = true
-			out = append(out, e.From)
-		}
-		if !seen[e.To] {
-			seen[e.To] = true
-			out = append(out, e.To)
+		for _, u := range [2]graph.NodeID{v.Tail(id), v.Head(id)} {
+			if !seen[u] {
+				seen[u] = true
+				out = append(out, u)
+			}
 		}
 	}
 	return out
@@ -162,62 +129,32 @@ func (rg *Graph) ReversedSeeds() []graph.NodeID {
 
 // CycleCost and CycleDelay measure a residual cycle in residual weights
 // (reversed edges already negated).
-func (rg *Graph) CycleCost(c graph.Cycle) int64  { return c.Cost(rg.R) }
-func (rg *Graph) CycleDelay(c graph.Cycle) int64 { return c.Delay(rg.R) }
+func (rg *Graph) CycleCost(c graph.Cycle) int64  { return rg.view.TotalCost(c.Edges) }
+func (rg *Graph) CycleDelay(c graph.Cycle) int64 { return rg.view.TotalDelay(c.Edges) }
 
 // Apply performs one cycle cancellation (Proposition 7): it returns the
 // edge set of {P_1..P_k} ⊕ O for a cycle O of the residual graph. Forward
 // residual edges enter the solution; reversed residual edges remove their
-// originals. The cycle must be valid against the residual this Graph was
-// built from; violations return an error (they indicate a stale cycle).
+// originals. The cycle must be a closed walk of the current residual;
+// violations return an error (they indicate a stale cycle).
 func (rg *Graph) Apply(cycle graph.Cycle) (graph.EdgeSet, error) {
-	if err := cycle.Validate(rg.R, false); err != nil {
-		return graph.EdgeSet{}, fmt.Errorf("residual: bad cycle: %w", err)
-	}
-	next := rg.sol.Clone()
-	for _, id := range cycle.Edges {
-		orig := rg.origEdge[id]
-		if rg.reversed[id] {
-			if !next.Has(orig) {
-				return graph.EdgeSet{}, fmt.Errorf("residual: cycle removes edge %d twice", orig)
-			}
-			next.Remove(orig)
-		} else {
-			if next.Has(orig) {
-				return graph.EdgeSet{}, fmt.Errorf("residual: cycle adds edge %d twice", orig)
-			}
-			next.Add(orig)
-		}
-	}
-	return next, nil
+	return rg.ApplyAll([]graph.Cycle{cycle})
 }
 
 // ApplyAll cancels a set of edge-disjoint residual cycles in one step
 // (Proposition 7 covers sets). Residual edges map bijectively to original
 // edges, so edge-disjoint cycles can never conflict on an original edge.
 func (rg *Graph) ApplyAll(cycles []graph.Cycle) (graph.EdgeSet, error) {
+	if err := rg.check(cycles); err != nil {
+		return graph.EdgeSet{}, err
+	}
 	next := rg.sol.Clone()
-	seen := graph.NewEdgeSet()
 	for _, cyc := range cycles {
-		if err := cyc.Validate(rg.R, false); err != nil {
-			return graph.EdgeSet{}, fmt.Errorf("residual: bad cycle: %w", err)
-		}
 		for _, id := range cyc.Edges {
-			if seen.Has(id) {
-				return graph.EdgeSet{}, fmt.Errorf("residual: cycles share residual edge %d", id)
-			}
-			seen.Add(id)
-			orig := rg.origEdge[id]
-			if rg.reversed[id] {
-				if !next.Has(orig) {
-					return graph.EdgeSet{}, fmt.Errorf("residual: cycle removes absent edge %d", orig)
-				}
-				next.Remove(orig)
+			if rg.view.Reversed(id) {
+				next.Remove(id)
 			} else {
-				if next.Has(orig) {
-					return graph.EdgeSet{}, fmt.Errorf("residual: cycle re-adds edge %d", orig)
-				}
-				next.Add(orig)
+				next.Add(id)
 			}
 		}
 	}
@@ -226,28 +163,27 @@ func (rg *Graph) ApplyAll(cycles []graph.Cycle) (graph.EdgeSet, error) {
 
 // SolutionCycles computes {P*} ⊕ {P̄} for two solutions given as edge sets:
 // by Proposition 8 the result is exactly a set of edge-disjoint cycles of
-// the residual graph built against `cur`. Returned cycles live in rg.R
+// the residual graph built against `cur`. Returned cycles live in the view
 // (i.e. edges of other \ cur appear forward, edges of cur \ other appear
 // reversed). Used by tests of Lemma 9 and by the exact branch & bound.
 func (rg *Graph) SolutionCycles(other graph.EdgeSet) ([]graph.Cycle, error) {
 	// Residual edge for original e: same ID by construction.
+	v := rg.view
 	var resEdges []graph.EdgeID
-	for _, e := range rg.Orig.EdgesView() {
-		inCur := rg.sol.Has(e.ID)
-		inOther := other.Has(e.ID)
-		if inCur == inOther {
+	for i := 0; i < v.NumEdges(); i++ {
+		id := graph.EdgeID(i)
+		if rg.sol.Has(id) == other.Has(id) {
 			continue // shared or absent: cancels in ⊕
 		}
 		// other-only → forward edge in residual; cur-only → reversed.
-		resEdges = append(resEdges, e.ID)
+		resEdges = append(resEdges, id)
 	}
 	// Peel cycles: each vertex is balanced in the residual sub-multigraph.
 	// avail is dense-indexed by vertex so the start-vertex scan below walks
 	// ascending IDs; a map here would make cycle order hash-dependent.
-	avail := make([][]graph.EdgeID, rg.R.NumNodes())
+	avail := make([][]graph.EdgeID, v.NumNodes())
 	for _, id := range resEdges {
-		re := rg.R.Edge(id)
-		avail[re.From] = append(avail[re.From], id)
+		avail[v.Tail(id)] = append(avail[v.Tail(id)], id)
 	}
 	var cycles []graph.Cycle
 	for {
@@ -271,7 +207,7 @@ func (rg *Graph) SolutionCycles(other graph.EdgeSet) ([]graph.Cycle, error) {
 			id := edges[len(edges)-1]
 			avail[cur] = edges[:len(edges)-1]
 			walk = append(walk, id)
-			cur = rg.R.Edge(id).To
+			cur = v.Head(id)
 			if cur == start {
 				break
 			}
@@ -279,7 +215,7 @@ func (rg *Graph) SolutionCycles(other graph.EdgeSet) ([]graph.Cycle, error) {
 				return nil, fmt.Errorf("residual: cycle peel exceeded budget")
 			}
 		}
-		cycles = append(cycles, flow.SplitClosedWalk(rg.R, walk)...)
+		cycles = append(cycles, flow.SplitClosedWalk(v, walk)...)
 	}
 	return cycles, nil
 }

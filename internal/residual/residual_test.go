@@ -24,11 +24,12 @@ func TestBuildNegatesSolutionEdges(t *testing.T) {
 	g := diamond()
 	sol := graph.NewEdgeSet(0, 2) // path 0→1→3
 	rg := Build(g, sol)
-	if rg.R.NumEdges() != g.NumEdges() {
+	v := rg.View()
+	if v.NumEdges() != g.NumEdges() {
 		t.Fatal("edge count changed")
 	}
 	for _, e := range g.Edges() {
-		re := rg.R.Edge(e.ID)
+		re := graph.Edge{ID: e.ID, From: v.Tail(e.ID), To: v.Head(e.ID), Cost: v.Cost(e.ID), Delay: v.Delay(e.ID)}
 		if sol.Has(e.ID) {
 			if re.From != e.To || re.To != e.From || re.Cost != -e.Cost || re.Delay != -e.Delay {
 				t.Fatalf("edge %d not reversed/negated: %+v", e.ID, re)
@@ -43,9 +44,6 @@ func TestBuildNegatesSolutionEdges(t *testing.T) {
 			if rg.Reversed(e.ID) {
 				t.Fatalf("edge %d wrongly flagged", e.ID)
 			}
-		}
-		if rg.OrigEdge(e.ID) != e.ID {
-			t.Fatal("orig mapping broken")
 		}
 	}
 }
@@ -77,7 +75,7 @@ func TestApplyCycleSwapsPaths(t *testing.T) {
 	sol := graph.NewEdgeSet(0, 2)
 	rg := Build(g, sol)
 	cyc := graph.Cycle{Edges: []graph.EdgeID{1, 3, 2, 0}}
-	if err := cyc.Validate(rg.R, true); err != nil {
+	if err := cyc.Validate(rg.View(), true); err != nil {
 		t.Fatal(err)
 	}
 	next, err := rg.Apply(cyc)
@@ -136,10 +134,14 @@ func TestProposition7_ApplyPreservesKDisjointFlow(t *testing.T) {
 			return false
 		}
 		rg := Build(g, fl.Edges)
-		// Find any cycle in the residual graph (by weighting all edges −1
-		// any cycle is "negative"); skip if none.
-		cyc, found := shortest.NegativeCycle(rg.R, func(e graph.Edge) int64 { return -1 })
-		if !found {
+		// Find any cycle in the residual graph (by costing every edge −1 on a
+		// scratch copy, any cycle is "negative"); skip if none.
+		unit := rg.View().Clone()
+		for id := 0; id < unit.NumEdges(); id++ {
+			unit.SetWeights(graph.EdgeID(id), -1, 0)
+		}
+		_, cyc, ok := shortest.BellmanFordAllCSRInto(shortest.NewWorkspace(n), unit, shortest.LinCost, nil)
+		if ok {
 			return true
 		}
 		next, err := rg.Apply(cyc)
@@ -190,7 +192,7 @@ func TestProposition8_SolutionCycles(t *testing.T) {
 		var dc, dd int64
 		usedRes := graph.NewEdgeSet()
 		for _, c := range cycles {
-			if c.Validate(rg.R, false) != nil {
+			if c.Validate(rg.View(), false) != nil {
 				return false
 			}
 			for _, id := range c.Edges {
@@ -235,8 +237,8 @@ func TestLemma9_NegativeDelayCycleExists(t *testing.T) {
 			return true // current solution already delay-minimal, skip
 		}
 		rg := Build(g, fc.Edges)
-		_, found := shortest.NegativeCycle(rg.R, shortest.DelayWeight)
-		return found
+		_, _, ok := shortest.BellmanFordAllCSRInto(shortest.NewWorkspace(n), rg.View(), shortest.LinDelay, nil)
+		return !ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -10,63 +10,52 @@ import (
 	"repro/internal/shortest"
 )
 
-// requireSameResidual asserts the two residual graphs are bit-identical:
-// same edges (endpoints, weights), same adjacency ORDER (searches iterate
-// adjacency, so order differences would change solver behaviour), same
-// reversed flags and tracked solution. This is the contract Update promises
-// against a fresh Build.
+// requireSameResidual asserts the two residual graphs are identical: same
+// edges (endpoints, weights, orientation bits), same frozen rows (so the
+// searches' merged adjacency ORDER agrees — order differences would change
+// solver behaviour), and same tracked solution. This is the contract Update
+// promises against a fresh Build.
 func requireSameResidual(t *testing.T, got, want *residual.Graph) {
 	t.Helper()
-	if got.R.NumNodes() != want.R.NumNodes() || got.R.NumEdges() != want.R.NumEdges() {
+	gv, wv := got.View(), want.View()
+	if gv.NumNodes() != wv.NumNodes() || gv.NumEdges() != wv.NumEdges() {
 		t.Fatalf("size mismatch: %d/%d nodes, %d/%d edges",
-			got.R.NumNodes(), want.R.NumNodes(), got.R.NumEdges(), want.R.NumEdges())
+			gv.NumNodes(), wv.NumNodes(), gv.NumEdges(), wv.NumEdges())
 	}
-	for id := 0; id < got.R.NumEdges(); id++ {
-		ge, we := got.R.Edge(graph.EdgeID(id)), want.R.Edge(graph.EdgeID(id))
-		if ge != we {
-			t.Fatalf("edge %d: got %+v want %+v", id, ge, we)
-		}
-		if got.Reversed(graph.EdgeID(id)) != want.Reversed(graph.EdgeID(id)) {
-			t.Fatalf("edge %d: reversed flag differs", id)
+	for i := 0; i < gv.NumEdges(); i++ {
+		id := graph.EdgeID(i)
+		if gv.Tail(id) != wv.Tail(id) || gv.Head(id) != wv.Head(id) ||
+			gv.Cost(id) != wv.Cost(id) || gv.Delay(id) != wv.Delay(id) || gv.Reversed(id) != wv.Reversed(id) {
+			t.Fatalf("edge %d: got %d→%d (%d,%d) rev=%v, want %d→%d (%d,%d) rev=%v", id,
+				gv.Tail(id), gv.Head(id), gv.Cost(id), gv.Delay(id), gv.Reversed(id),
+				wv.Tail(id), wv.Head(id), wv.Cost(id), wv.Delay(id), wv.Reversed(id))
 		}
 	}
-	for v := 0; v < got.R.NumNodes(); v++ {
-		gOut, wOut := got.R.Out(graph.NodeID(v)), want.R.Out(graph.NodeID(v))
-		if len(gOut) != len(wOut) {
-			t.Fatalf("node %d: out-degree %d vs %d", v, len(gOut), len(wOut))
+	if gv.Mixed() != wv.Mixed() {
+		t.Fatalf("Mixed %v vs %v", gv.Mixed(), wv.Mixed())
+	}
+	sameRow := func(kind string, v int, a, b []graph.EdgeID) {
+		if len(a) != len(b) {
+			t.Fatalf("node %d: %s-degree %d vs %d", v, kind, len(a), len(b))
 		}
-		for i := range gOut {
-			if gOut[i] != wOut[i] {
-				t.Fatalf("node %d: out adjacency order differs at %d: %d vs %d", v, i, gOut[i], wOut[i])
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("node %d: %s row differs at %d: %d vs %d", v, kind, i, a[i], b[i])
 			}
 		}
-		gIn, wIn := got.R.In(graph.NodeID(v)), want.R.In(graph.NodeID(v))
-		if len(gIn) != len(wIn) {
-			t.Fatalf("node %d: in-degree %d vs %d", v, len(gIn), len(wIn))
-		}
-		for i := range gIn {
-			if gIn[i] != wIn[i] {
-				t.Fatalf("node %d: in adjacency order differs at %d", v, i)
-			}
-		}
+	}
+	for v := 0; v < gv.NumNodes(); v++ {
+		sameRow("out", v, gv.OutRow(graph.NodeID(v)), wv.OutRow(graph.NodeID(v)))
+		sameRow("in", v, gv.InRow(graph.NodeID(v)), wv.InRow(graph.NodeID(v)))
 	}
 	gs, ws := got.Solution(), want.Solution()
 	if gs.Len() != ws.Len() {
 		t.Fatalf("solution size %d vs %d", gs.Len(), ws.Len())
 	}
 	for _, id := range gs.IDs() {
-		if !ws.Has(id) {
+		if !ws.Has(id) || !gv.Reversed(id) {
 			t.Fatalf("solution sets differ at edge %d", id)
 		}
-	}
-	// The CSR views must mirror their residual Digraphs exactly — same
-	// edges, weights and merged adjacency order — whether they got there
-	// incrementally (got: Update flips) or by a fresh pack (want: Build).
-	if err := got.View().Validate(got.R); err != nil {
-		t.Fatalf("updated CSR view drifted: %v", err)
-	}
-	if err := want.View().Validate(want.R); err != nil {
-		t.Fatalf("fresh CSR view drifted: %v", err)
 	}
 }
 

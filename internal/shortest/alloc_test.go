@@ -9,37 +9,32 @@ import (
 )
 
 // lgridResidual returns an N≈5k layered grid with its cheapest-delay s→t
-// path flipped, as a Digraph and its CSR mirror — the residual shape the
-// cancellation loop searches. Under delay the flipped path is optimal, so
+// path flipped in a CSR view — the residual shape the cancellation loop
+// searches. Under delay the flipped path is optimal, so
 // the residual has no negative cycle; under cost it is not, so the cheaper
 // detours close negative cycles through the reversed edges.
-func lgridResidual(t *testing.T) (*graph.Digraph, *graph.CSR) {
-	t.Helper()
+func lgridResidual() *graph.CSR {
 	ins := gen.LayeredGrid(7, 50, 100, gen.DefaultWeights())
 	g := ins.G
 	tree := shortest.Dijkstra(g, ins.S, shortest.DelayWeight)
 	c := graph.NewCSR(g)
 	for v := ins.T; v != ins.S; {
 		id := tree.Parent[v]
-		v = g.Edge(id).From
-		g.FlipEdge(id)
+		v = g.Tail(id)
 		c.Flip(id)
 	}
-	if err := c.Validate(g); err != nil {
-		t.Fatal(err)
-	}
-	return g, c
+	return c
 }
 
-// TestSPFAAllocs is the runtime witness behind the SPFA kernels' noalloc
+// TestSPFAAllocs is the runtime witness behind the SPFA kernel's noalloc
 // contract: on a reused Workspace the no-cycle verdict allocates nothing,
 // and a found cycle allocates exactly its returned edge slice.
 func TestSPFAAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("N≈5k allocation witness: skipped under -short")
 	}
-	g, c := lgridResidual(t)
-	ws := shortest.NewWorkspace(g.NumNodes())
+	c := lgridResidual()
+	ws := shortest.NewWorkspace(c.NumNodes())
 	for _, tc := range []struct {
 		name      string
 		wantCycle bool
@@ -53,13 +48,13 @@ func TestSPFAAllocs(t *testing.T) {
 			_, cyc, ok := shortest.SPFAAllCSRInto(ws, c, shortest.LinCost, nil)
 			return cyc, ok
 		}},
-		{"SPFAAllInto/no-cycle", false, func() (graph.Cycle, bool) {
-			_, cyc, ok := shortest.SPFAAllInto(ws, g, shortest.DelayWeight)
-			return cyc, ok
+		{"SPFAAllBoundedCSRInto/no-cycle", false, func() (graph.Cycle, bool) {
+			cyc, found, _ := shortest.SPFAAllBoundedCSRInto(ws, c, shortest.LinDelay, 1<<30)
+			return cyc, !found
 		}},
-		{"SPFAAllInto/cycle", true, func() (graph.Cycle, bool) {
-			_, cyc, ok := shortest.SPFAAllInto(ws, g, shortest.CostWeight)
-			return cyc, ok
+		{"SPFAAllBoundedCSRInto/cycle", true, func() (graph.Cycle, bool) {
+			cyc, found, _ := shortest.SPFAAllBoundedCSRInto(ws, c, shortest.LinCost, 1<<30)
+			return cyc, !found
 		}},
 	} {
 		cyc, ok := tc.run() // also warms the workspace
@@ -67,8 +62,8 @@ func TestSPFAAllocs(t *testing.T) {
 			t.Fatalf("%s: verdict ok=%v", tc.name, ok)
 		}
 		if tc.wantCycle {
-			if err := cyc.Validate(g, true); err != nil || cyc.Cost(g) >= 0 {
-				t.Fatalf("%s: cycle of cost %d is not a negative simple cycle: %v", tc.name, cyc.Cost(g), err)
+			if err := cyc.Validate(c, true); err != nil || c.TotalCost(cyc.Edges) >= 0 {
+				t.Fatalf("%s: cycle of cost %d is not a negative simple cycle: %v", tc.name, c.TotalCost(cyc.Edges), err)
 			}
 		}
 		want := 0.0

@@ -38,20 +38,24 @@ func LinCombine(q, p int64) LinWeight { return LinWeight{Q: q, P: p} }
 // touching the graph. Callers guarantee |du| < 2^61 so the sum cannot wrap.
 const maskedW = int64(1) << 62
 
-func defaultBudgetCSR(c *graph.CSR) int {
+func defaultBudget(c *graph.CSR) int {
 	return 4*c.NumNodes()*c.NumEdges() + 256
 }
 
-// DijkstraCSRInto is DijkstraInto over a CSR view: shortest paths from s
-// under lw, all selected weights nonnegative (panics otherwise, same
-// contract as Dijkstra). Iteration follows the view's CURRENT orientation
-// in ascending edge-ID order, which is bit-identical to running DijkstraInto
-// on the Digraph the view mirrors.
+// DijkstraCSRInto computes shortest paths from s under lw over an unflipped
+// CSR view (the problem graph); every selected weight must be nonnegative
+// (panics otherwise, since that would silently produce wrong answers).
+// Iteration follows OutRow in ascending edge-ID order. The returned Tree
+// aliases the workspace (see Workspace).
 //
 //krsp:noalloc
 //krsp:terminates(each vertex finalizes once and the heap holds ≤ m entries)
 //krsp:inbounds
 func DijkstraCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) Tree {
+	if c.Mixed() {
+		//lint:allow nopanic unflipped-view contract; only problem-graph views reach Dijkstra, a flipped one is a solver bug
+		panic("shortest: DijkstraCSRInto on a flipped view")
+	}
 	n := c.NumNodes()
 	t := ws.tree(n)
 	done := ws.done[:n] //lint:allow boundsafe ws.tree(n) grows ws.done to n alongside the tree arrays
@@ -64,7 +68,6 @@ func DijkstraCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) 
 	h := ws.heap
 	h.Reset()
 	h.Push(int(s), 0)
-	mixed := c.Mixed()
 	for h.Len() > 0 {
 		ui, du := h.Pop()
 		u := graph.NodeID(ui)
@@ -72,47 +75,7 @@ func DijkstraCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) 
 			continue
 		}
 		done[u] = true
-		if !mixed {
-			// Never-flipped view: OutRow IS the current adjacency.
-			for _, id := range c.OutRow(u) {
-				to := c.Head(id)
-				if done[to] {
-					continue
-				}
-				rw := lw.Of(c.Cost(id), c.Delay(id))
-				if rw < 0 {
-					//lint:allow nopanic nonnegative-weight contract; a violation is a solver bug, not bad input
-					panic("shortest: negative weight in DijkstraCSRInto")
-				}
-				if nd := du + rw; nd < t.Dist[to] {
-					t.Dist[to] = nd
-					t.Parent[to] = id
-					h.Push(int(to), nd)
-				}
-			}
-			continue
-		}
-		// Mixed view: merge the non-reversed out row with the reversed in
-		// row by ascending edge ID — exactly the Digraph's sorted adjacency.
-		outRow, inRow := c.OutRow(u), c.InRow(u)
-		i, j := 0, 0
-		for {
-			for i < len(outRow) && c.Reversed(outRow[i]) {
-				i++
-			}
-			for j < len(inRow) && !c.Reversed(inRow[j]) {
-				j++
-			}
-			var id graph.EdgeID
-			if i < len(outRow) && (j >= len(inRow) || outRow[i] < inRow[j]) {
-				id = outRow[i]
-				i++
-			} else if j < len(inRow) {
-				id = inRow[j]
-				j++
-			} else {
-				break
-			}
+		for _, id := range c.OutRow(u) {
 			to := c.Head(id)
 			if done[to] {
 				continue
@@ -132,23 +95,21 @@ func DijkstraCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) 
 	return t
 }
 
-// SPFAAllCSRInto is SPFAAllInto over a CSR view: negative-cycle detection
-// from a virtual super-source under lw, with an optional mask — edges whose
-// alive entry is false are weighted by the masking sentinel and can never
-// relax (a nil mask keeps every edge). Falls back to the pass-based CSR
-// Bellman–Ford when the relaxation budget blows, mirroring SPFAAllInto's
-// verdict contract (including the conservative "no cycle" on cancellation).
+// SPFAAllCSRInto is negative-cycle detection from a virtual super-source
+// (all distances start at 0) under lw — the queue-based Bellman–Ford
+// variant, typically far faster than the pass-based scan on sparse graphs.
+// It takes an optional mask: edges whose alive entry is false are weighted
+// by the masking sentinel and can never relax (a nil mask keeps every
+// edge). On ok=true the distances are valid potentials; on ok=false the
+// returned cycle is vertex-simple and strictly negative. Falls back to the
+// pass-based Bellman–Ford when the relaxation budget blows, and reports a
+// conservative "no cycle" on cancellation (see Workspace.SetCancel). The
+// returned Tree aliases the workspace.
 //
 //krsp:noalloc
 //krsp:inbounds
 func SPFAAllCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool) (Tree, graph.Cycle, bool) {
-	n := c.NumNodes()
-	t := ws.tree(n)
-	for v := range t.Dist {
-		t.Dist[v] = 0
-		t.Parent[v] = -1 //lint:allow boundsafe ws.tree(n) sizes Dist and Parent to the same length
-	}
-	tree, cyc, ok, done := spfaCSRCore(ws, c, lw, alive, t, defaultBudgetCSR(c))
+	tree, cyc, ok, done := spfaCSRCore(ws, c, lw, alive, ws.allSources(c.NumNodes()), defaultBudget(c))
 	if done {
 		return tree, cyc, ok
 	}
@@ -158,10 +119,36 @@ func SPFAAllCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool) (Tr
 	return BellmanFordAllCSRInto(ws, c, lw, alive)
 }
 
-// spfaCSRCore is spfaCore over a CSR view (all-sources seeding only, which
-// is the solve-path shape). Relaxation order, budget accounting, the queue
-// links, the parent-walk schedule and cycle extraction all mirror spfaCore
-// exactly.
+// SPFAAllBoundedCSRInto is negative-cycle detection with an explicit
+// relaxation budget and no exact-distance promise: it returns (cycle, true,
+// true) on detection, (_, false, true) when the graph is certified
+// cycle-free, and (_, false, false) when the budget ran out (or the
+// workspace's Canceller stopped) first — no verdict. Large derived graphs
+// (the layered auxiliary graphs) use it to keep worst-case time linear in
+// the budget instead of O(V·E).
+//
+//krsp:noalloc
+//krsp:inbounds
+func SPFAAllBoundedCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, budget int) (graph.Cycle, bool, bool) {
+	_, cyc, ok, done := spfaCSRCore(ws, c, lw, nil, ws.allSources(c.NumNodes()), budget)
+	if !done {
+		return graph.Cycle{}, false, false
+	}
+	return cyc, !ok, true
+}
+
+// spfaCSRCore returns done=false when its relaxation budget is exhausted
+// (or the Canceller stops) before a certified verdict; callers then fall
+// back to the pass-based Bellman–Ford or accept the non-verdict. Every
+// vertex is seeded, in ascending order (the virtual super-source).
+//
+// The FIFO is a singly linked list threaded through the workspace links
+// (see notQueued): a vertex is queued at most once, so n links always
+// suffice and the queue never allocates. Negative cycles are found by
+// searching the parent graph after every n improving relaxations
+// (parentWalk) — an O(n) walk per n relaxations, so detection costs
+// amortized O(1) per relaxation. Every parent-graph cycle is negative, so a
+// hit is returned as-is.
 //
 //krsp:inbounds
 func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree, budget int) (Tree, graph.Cycle, bool, bool) {
@@ -175,9 +162,14 @@ func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree
 		first, last = 0, graph.NodeID(n-1)
 		next[last] = queueEnd
 	}
+	// An unflipped view (a layered graph) has no reversed in-row entries:
+	// skip the in-row half of the merge outright.
+	mixed := c.Mixed()
 	relaxations, sinceWalk, walk := 0, 0, 0
 	for first >= 0 {
 		if ws.cancel.Poll() {
+			// Cancelled: no verdict. Callers distinguish this from budget
+			// exhaustion via Canceller.Stopped (see Workspace.SetCancel).
 			ws.recordSPFA(relaxations, false)
 			return t, graph.Cycle{}, false, false
 		}
@@ -188,6 +180,9 @@ func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree
 			continue
 		}
 		outRow, inRow := c.OutRow(u), c.InRow(u)
+		if !mixed {
+			inRow = nil
+		}
 		i, j := 0, 0
 		for { //lint:allow ctxpoll bounded row merge: ≤ deg(u) steps, and the dequeue loop above polls once per vertex
 			for i < len(outRow) && c.Reversed(outRow[i]) {
@@ -222,9 +217,9 @@ func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree
 				t.Parent[to] = id
 				if sinceWalk++; sinceWalk == n {
 					sinceWalk = 0
-					if at, cyclic := parentWalkCSR(c, t.Parent, stamp, &walk); cyclic {
+					if at, cyclic := parentWalk(c, t.Parent, stamp, &walk); cyclic {
 						ws.recordSPFA(relaxations, true)
-						return t, extractParentCycleCSR(c, t.Parent, at), false, true
+						return t, extractParentCycle(c, t.Parent, at), false, true
 					}
 				}
 				if next[to] == notQueued {
@@ -243,20 +238,43 @@ func spfaCSRCore(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree
 	return t, graph.Cycle{}, true, true
 }
 
-// BellmanFordAllCSRInto is BellmanFordAllInto over a CSR view with the same
-// optional mask as SPFAAllCSRInto. The per-pass edge scan walks IDs
-// ascending in current orientation — identical to bfCore's EdgesView scan.
+// BellmanFordCSRInto computes shortest paths from s under lw with the
+// pass-based Bellman–Ford scan, allowing negative weights. If a negative
+// cycle is reachable from s, ok=false and the cycle is returned; otherwise
+// ok=true. The returned Tree aliases the workspace.
+//
+//krsp:noalloc
+//krsp:inbounds
+func BellmanFordCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) (Tree, graph.Cycle, bool) {
+	t := ws.allSources(c.NumNodes())
+	for v := range t.Dist {
+		t.Dist[v] = Inf
+	}
+	t.Dist[s] = 0
+	return bellmanFord(ws, c, lw, nil, t)
+}
+
+// BellmanFordAllCSRInto is Bellman–Ford from a virtual super-source
+// connected to every vertex with weight 0, with the same optional mask as
+// SPFAAllCSRInto. It detects a negative cycle anywhere in the graph;
+// otherwise the distances are valid potentials: dist[v] ≤ dist[u] + w(u→v)
+// for every edge.
 //
 //krsp:noalloc
 //krsp:inbounds
 func BellmanFordAllCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool) (Tree, graph.Cycle, bool) {
-	n := c.NumNodes()
-	t := ws.tree(n)
-	for v := range t.Dist {
-		t.Dist[v] = 0
-		t.Parent[v] = -1 //lint:allow boundsafe ws.tree(n) sizes Dist and Parent to the same length
-	}
-	m := c.NumEdges()
+	return bellmanFord(ws, c, lw, alive, ws.allSources(c.NumNodes()))
+}
+
+// bellmanFord runs up to n passes over the edges in ascending ID order
+// (current orientation) from the initial distances in t. A relaxation in
+// the n-th pass proves a negative cycle, which is then extracted from the
+// parent pointers. Cancellation between passes returns a conservative "no
+// cycle" (see Workspace.SetCancel).
+//
+//krsp:inbounds
+func bellmanFord(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bool, t Tree) (Tree, graph.Cycle, bool) {
+	n, m := c.NumNodes(), c.NumEdges()
 	var lastRelaxed graph.NodeID = -1
 	for pass := 0; pass < n; pass++ {
 		if ws.cancel.Check() {
@@ -285,17 +303,25 @@ func BellmanFordAllCSRInto(ws *Workspace, c *graph.CSR, lw LinWeight, alive []bo
 			return t, graph.Cycle{}, true
 		}
 	}
+	// Walk parents n times from the last relaxed vertex to be sure to stand
+	// on the cycle, then extract it.
 	v := lastRelaxed
 	for i := 0; i < n; i++ {
 		v = c.Tail(t.Parent[v])
 	}
-	return t, extractParentCycleCSR(c, t.Parent, v), false
+	return t, extractParentCycle(c, t.Parent, v), false
 }
 
-// parentWalkCSR is parentWalk over a CSR view.
+// parentWalk searches the parent graph for a cycle in one O(n) pass. Each
+// chain is followed rootward from a vertex not yet visited by this walk and
+// stamped with a fresh id above *walk, the last id handed out by earlier
+// walks: meeting the chain's own id again closes a cycle (the returned
+// vertex lies on it), while meeting an older id of this walk or a root ends
+// the chain. Ids only grow, so stamps need no clearing between walks; the
+// walk advances *walk past the ids it used.
 //
 //krsp:terminates(each vertex is stamped at most once per walk, so the chains total ≤ n steps)
-func parentWalkCSR(c *graph.CSR, parent []graph.EdgeID, stamp []int, walk *int) (graph.NodeID, bool) {
+func parentWalk(c *graph.CSR, parent []graph.EdgeID, stamp []int, walk *int) (graph.NodeID, bool) {
 	base := *walk
 	for v := range parent {
 		if stamp[v] > base {
@@ -321,14 +347,17 @@ func parentWalkCSR(c *graph.CSR, parent []graph.EdgeID, stamp []int, walk *int) 
 	return 0, false
 }
 
-// extractParentCycleCSR is extractParentCycle over a CSR view.
+// extractParentCycle follows parent edges from a vertex known to lie on a
+// parent-pointer cycle and returns that cycle in forward edge order.
 //
 //krsp:terminates(parent-pointer cycle is vertex-simple, so the walk closes within n steps)
-func extractParentCycleCSR(c *graph.CSR, parent []graph.EdgeID, start graph.NodeID) graph.Cycle {
+func extractParentCycle(c *graph.CSR, parent []graph.EdgeID, start graph.NodeID) graph.Cycle {
 	length := 1
 	for v := c.Tail(parent[start]); v != start; v = c.Tail(parent[v]) {
 		length++
 	}
+	// Fill back to front: walking parents visits the cycle's edges in
+	// reverse, so the slice comes out in forward order ending at start.
 	edges := make([]graph.EdgeID, length) //lint:allow contracts one allocation per extracted cycle, the returned edge slice; witnessed by TestSPFAAllocs
 	v := start
 	for i := length - 1; i >= 0; i-- {

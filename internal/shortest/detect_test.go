@@ -36,37 +36,24 @@ func checkCycle(t *testing.T, label string, c *graph.CSR, lw LinWeight, alive []
 	}
 }
 
-// maskedWeight is the Digraph-closure equivalent of lw under an alive mask.
-func maskedWeight(lw LinWeight, alive []bool) Weight {
-	return func(e graph.Edge) int64 {
-		if alive != nil && !alive[e.ID] {
-			return maskedW
-		}
-		return lw.Of(e.Cost, e.Delay)
-	}
-}
-
 // TestSPFADetectorMatchesBellmanFord is the detector's property test: over
 // random multigraphs with flipped (mixed) CSR orientation and random alive
-// masks, every SPFA kernel's verdict equals the pass-based Bellman–Ford's,
-// and every cycle it returns is a genuine negative cycle of alive edges.
+// masks, both SPFA entries' verdicts equal the pass-based Bellman–Ford's,
+// and every cycle they return is a genuine negative cycle of alive edges.
 func TestSPFADetectorMatchesBellmanFord(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(40)
-		g, c := mirrorPair(t, seed+500, n, n+rng.Intn(3*n), rng.Intn(n+1))
+		c := randomView(seed+500, n, n+rng.Intn(3*n), rng.Intn(n+1))
 		lw := LinCombine(int64(rng.Intn(5))-1, int64(rng.Intn(3)))
 		var alive []bool
 		if seed%3 != 0 {
-			alive = make([]bool, g.NumEdges())
+			alive = make([]bool, c.NumEdges())
 			for i := range alive {
 				alive[i] = rng.Intn(5) != 0
 			}
 		}
-		w := maskedWeight(lw, alive)
 		ws, bfWS := NewWorkspace(n), NewWorkspace(n)
-
-		// All-sources seeding, CSR and Digraph kernels.
 		_, cyc, ok := SPFAAllCSRInto(ws, c, lw, alive)
 		_, _, bfOK := BellmanFordAllCSRInto(bfWS, c, lw, alive)
 		if ok != bfOK {
@@ -75,31 +62,16 @@ func TestSPFADetectorMatchesBellmanFord(t *testing.T) {
 		if !ok {
 			checkCycle(t, "SPFAAllCSRInto", c, lw, alive, cyc)
 		}
-		_, cyc, ok = SPFAAllInto(ws, g, w)
-		if _, _, bfOK := BellmanFordAllInto(bfWS, g, w); ok != bfOK {
-			t.Fatalf("seed %d: SPFAAllInto verdict %v, Bellman–Ford %v", seed, ok, bfOK)
-		}
-		if !ok {
-			checkCycle(t, "SPFAAllInto", c, lw, alive, cyc)
-		}
 
-		// Single-source seeding: only cycles reachable from s count. The
-		// masking sentinel needs all-sources seeding (every distance ≤ 0),
-		// so this leg runs unmasked.
-		s := graph.NodeID(rng.Intn(n))
-		spT, cyc, ok := SPFAInto(ws, g, s, maskedWeight(lw, nil))
-		bfT, _, bfOK := BellmanFordInto(bfWS, g, s, maskedWeight(lw, nil))
-		if ok != bfOK {
-			t.Fatalf("seed %d: SPFAInto verdict %v, Bellman–Ford %v", seed, ok, bfOK)
+		// The budgeted entry (unmasked, ample budget) must reach the same
+		// verdict as the unmasked pass-based scan.
+		cyc, found, verdict := SPFAAllBoundedCSRInto(ws, c, lw, 1<<30)
+		_, _, bfOK = BellmanFordAllCSRInto(bfWS, c, lw, nil)
+		if !verdict || found == bfOK {
+			t.Fatalf("seed %d: SPFAAllBoundedCSRInto (found=%v, verdict=%v), Bellman–Ford ok=%v", seed, found, verdict, bfOK)
 		}
-		if !ok {
-			checkCycle(t, "SPFAInto", c, lw, nil, cyc)
-			continue
-		}
-		for v := range spT.Dist {
-			if spT.Dist[v] != bfT.Dist[v] {
-				t.Fatalf("seed %d: SPFAInto dist[%d] = %d, Bellman–Ford %d", seed, v, spT.Dist[v], bfT.Dist[v])
-			}
+		if found {
+			checkCycle(t, "SPFAAllBoundedCSRInto", c, lw, nil, cyc)
 		}
 	}
 }
@@ -110,7 +82,7 @@ func TestSPFADetectorMatchesBellmanFord(t *testing.T) {
 // 0 and so re-relaxes all n-L leaves, while tentative paths grow by only L
 // edges per lap — a rule that waits for an n-edge path pays about n²/L
 // relaxations before it looks.
-func cycleWithFan(n, L int) (*graph.Digraph, *graph.CSR) {
+func cycleWithFan(n, L int) *graph.CSR {
 	g := graph.New(n)
 	for i := 0; i < L; i++ {
 		g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%L), -1, 0)
@@ -118,7 +90,7 @@ func cycleWithFan(n, L int) (*graph.Digraph, *graph.CSR) {
 	for v := L; v < n; v++ {
 		g.AddEdge(0, graph.NodeID(v), 0, 0)
 	}
-	return g, graph.NewCSR(g)
+	return graph.NewCSR(g)
 }
 
 // TestSPFAFindsShortCycleFast pins the amortized parent-graph search: the
@@ -126,7 +98,7 @@ func cycleWithFan(n, L int) (*graph.Digraph, *graph.CSR) {
 // next n relaxations must report it.
 func TestSPFAFindsShortCycleFast(t *testing.T) {
 	const n, L = 2000, 4
-	g, c := cycleWithFan(n, L)
+	c := cycleWithFan(n, L)
 	for _, tc := range []struct {
 		name string
 		run  func(ws *Workspace) (graph.Cycle, bool)
@@ -135,13 +107,9 @@ func TestSPFAFindsShortCycleFast(t *testing.T) {
 			_, cyc, ok := SPFAAllCSRInto(ws, c, LinCost, nil)
 			return cyc, ok
 		}},
-		{"SPFAAllInto", func(ws *Workspace) (graph.Cycle, bool) {
-			_, cyc, ok := SPFAAllInto(ws, g, CostWeight)
-			return cyc, ok
-		}},
-		{"SPFAInto", func(ws *Workspace) (graph.Cycle, bool) {
-			_, cyc, ok := SPFAInto(ws, g, 0, CostWeight)
-			return cyc, ok
+		{"SPFAAllBoundedCSRInto", func(ws *Workspace) (graph.Cycle, bool) {
+			cyc, found, _ := SPFAAllBoundedCSRInto(ws, c, LinCost, 1<<30)
+			return cyc, !found
 		}},
 	} {
 		m := obs.New(nil).ShortestMetrics()

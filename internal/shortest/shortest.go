@@ -1,8 +1,11 @@
 // Package shortest implements the single-criterion shortest-path substrate:
-// BFS, Dijkstra with potentials, Bellman–Ford with negative-cycle
-// extraction, Karp's minimum mean cycle, and a bicriteria Pareto frontier
-// enumerator. All algorithms take an edge-weight selector so callers can
-// route on cost, delay, or integer combinations q·c + p·d.
+// BFS, Dijkstra with potentials, SPFA and Bellman–Ford negative-cycle
+// detection with cycle extraction, Karp's minimum mean cycle, Yen's k
+// shortest paths, and a bicriteria Pareto frontier enumerator. Digraph
+// algorithms take an edge-weight closure (Weight); the solve-path kernels
+// run over a graph.CSR view with a packed linear weighting (LinWeight).
+// Either way callers route on cost, delay, or integer combinations
+// q·c + p·d.
 package shortest
 
 import (
@@ -38,8 +41,8 @@ type Tree struct {
 }
 
 // PathTo reconstructs the tree path from the source to v, or nil if v is
-// unreachable.
-func (t Tree) PathTo(g *graph.Digraph, v graph.NodeID) (graph.Path, bool) {
+// unreachable. g is the graph (Digraph or CSR view) the tree was grown on.
+func (t Tree) PathTo(g graph.Endpoints, v graph.NodeID) (graph.Path, bool) {
 	if t.Dist[v] == Inf {
 		return graph.Path{}, false
 	}
@@ -47,7 +50,7 @@ func (t Tree) PathTo(g *graph.Digraph, v graph.NodeID) (graph.Path, bool) {
 	for t.Parent[v] >= 0 {
 		id := t.Parent[v]
 		rev = append(rev, id)
-		v = g.Edge(id).From
+		v = g.Tail(id)
 	}
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]

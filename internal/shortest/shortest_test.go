@@ -97,14 +97,26 @@ func TestDijkstraWithPotentials(t *testing.T) {
 	g.AddEdge(0, 1, 5, 0)
 	g.AddEdge(1, 2, -2, 0)
 	g.AddEdge(0, 2, 4, 0)
-	pot, ok := Potentials(g, CostWeight)
+	potT, _, ok := BellmanFordAllCSRInto(NewWorkspace(3), graph.NewCSR(g), LinCost, nil)
 	if !ok {
 		t.Fatal("potentials should exist")
 	}
-	tr := DijkstraPotentials(g, 0, CostWeight, pot)
+	tr := DijkstraPotentials(g, 0, CostWeight, potT.Dist)
 	if tr.Dist[2] != 3 {
 		t.Fatalf("dist[2]=%d want 3", tr.Dist[2])
 	}
+}
+
+// bellmanFordFrom runs the single-source CSR Bellman–Ford on g's view.
+func bellmanFordFrom(g *graph.Digraph, s graph.NodeID) (Tree, graph.Cycle, bool) {
+	return BellmanFordCSRInto(NewWorkspace(g.NumNodes()), graph.NewCSR(g), s, LinCost)
+}
+
+// negativeCycle runs the all-sources CSR Bellman–Ford on g's view: found
+// reports a negative-cost cycle, and otherwise pot holds valid potentials.
+func negativeCycle(g *graph.Digraph) (cyc graph.Cycle, pot []int64, found bool) {
+	t, cyc, ok := BellmanFordAllCSRInto(NewWorkspace(g.NumNodes()), graph.NewCSR(g), LinCost, nil)
+	return cyc, t.Dist, !ok
 }
 
 func TestBellmanFordMatchesDijkstraNonneg(t *testing.T) {
@@ -116,7 +128,7 @@ func TestBellmanFordMatchesDijkstraNonneg(t *testing.T) {
 		for i := 0; i < m; i++ {
 			g.AddEdge(graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n)), int64(r.Intn(50)), int64(r.Intn(50)))
 		}
-		bf, _, ok := BellmanFord(g, 0, CostWeight)
+		bf, _, ok := bellmanFordFrom(g, 0)
 		if !ok {
 			return false // nonnegative weights: no negative cycle possible
 		}
@@ -139,7 +151,7 @@ func TestBellmanFordNegativeEdgesNoCycle(t *testing.T) {
 	g.AddEdge(0, 2, 1, 0)
 	g.AddEdge(2, 1, -3, 0)
 	g.AddEdge(1, 3, 2, 0)
-	tr, _, ok := BellmanFord(g, 0, CostWeight)
+	tr, _, ok := bellmanFordFrom(g, 0)
 	if !ok {
 		t.Fatal("no negative cycle expected")
 	}
@@ -153,7 +165,7 @@ func TestBellmanFordDetectsNegativeCycle(t *testing.T) {
 	g.AddEdge(0, 1, 1, 0)
 	g.AddEdge(1, 2, -5, 0)
 	g.AddEdge(2, 1, 2, 0)
-	_, cyc, ok := BellmanFord(g, 0, CostWeight)
+	_, cyc, ok := bellmanFordFrom(g, 0)
 	if ok {
 		t.Fatal("negative cycle not detected")
 	}
@@ -167,7 +179,7 @@ func TestBellmanFordDetectsNegativeCycle(t *testing.T) {
 
 func TestNegativeCycleAbsent(t *testing.T) {
 	g := mkWeighted(t)
-	if _, found := NegativeCycle(g, CostWeight); found {
+	if _, _, found := negativeCycle(g); found {
 		t.Fatal("found phantom negative cycle")
 	}
 }
@@ -179,7 +191,7 @@ func TestNegativeCycleUnreachableFromZero(t *testing.T) {
 	g.AddEdge(0, 1, 1, 0)
 	g.AddEdge(2, 3, -5, 0)
 	g.AddEdge(3, 2, 1, 0)
-	cyc, found := NegativeCycle(g, CostWeight)
+	cyc, _, found := negativeCycle(g)
 	if !found {
 		t.Fatal("missed negative cycle")
 	}
@@ -199,11 +211,10 @@ func TestPotentialsValid(t *testing.T) {
 		for i := 0; i < 3*n; i++ {
 			g.AddEdge(graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n)), int64(r.Intn(40)-5), 0)
 		}
-		pot, ok := Potentials(g, CostWeight)
-		if !ok {
-			// Negative cycle: verify one actually exists.
-			_, found := NegativeCycle(g, CostWeight)
-			return found
+		cyc, pot, found := negativeCycle(g)
+		if found {
+			// Negative cycle: verify it is genuine.
+			return cyc.Validate(g, true) == nil && cyc.Cost(g) < 0
 		}
 		for _, e := range g.Edges() {
 			if e.Cost+pot[e.From]-pot[e.To] < 0 {

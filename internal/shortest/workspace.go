@@ -45,9 +45,9 @@ func (ws *Workspace) SetMetrics(m *obs.ShortestMetrics) { ws.metrics = m }
 // Cancellers are single-goroutine state — a workspace handed to a parallel
 // worker must carry that worker's own cancel.Child.
 //
-// Cancellation semantics per kernel family: the bounded kernels
-// (SPFAAllBoundedInto) report their usual no-verdict; the verdict kernels
-// (SPFAInto, SPFAAllInto, BellmanFord*) return ok=true with an empty cycle,
+// Cancellation semantics per kernel family: the bounded kernel
+// (SPFAAllBoundedCSRInto) reports its usual no-verdict; the verdict kernels
+// (SPFAAllCSRInto, BellmanFord*CSRInto) return ok=true with an empty cycle,
 // i.e. a conservative "nothing found". Solve-path callers must therefore
 // check their Canceller after a kernel returns before trusting a negative
 // verdict — core treats a stopped Canceller as "degrade now", never as
@@ -91,6 +91,17 @@ func (ws *Workspace) Grow(n int) {
 func (ws *Workspace) tree(n int) Tree {
 	ws.Grow(n)
 	return Tree{Dist: ws.dist[:n], Parent: ws.parent[:n]}
+}
+
+// allSources returns a workspace tree seeded for the virtual super-source:
+// every distance 0, no parents.
+func (ws *Workspace) allSources(n int) Tree {
+	t := ws.tree(n)
+	for v := range t.Dist {
+		t.Dist[v] = 0
+		t.Parent[v] = -1
+	}
+	return t
 }
 
 // SPFA queue links: the FIFO is a singly linked list threaded through

@@ -38,7 +38,7 @@ func sameTree(t *testing.T, label string, a, b Tree) {
 }
 
 // TestIntoVariantsMatchAllocating: every *_Into kernel must agree exactly
-// with its allocating wrapper while ONE workspace is reused across many
+// with a run on a fresh workspace while ONE workspace is reused across many
 // graphs of varying size — the reuse pattern the solver's hot loops rely
 // on. Stale state from a previous (larger or negative-weight) search must
 // never leak into the next result.
@@ -50,44 +50,47 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		m := r.Intn(4 * n)
 		negative := round%3 == 0
 		g := randGraphWS(r, n, m, negative)
+		c := graph.NewCSR(g)
 		s := graph.NodeID(r.Intn(n))
+		fresh := func() *Workspace { return NewWorkspace(n) }
 
 		if !negative {
 			want := DijkstraPotentials(g, s, CostWeight, nil)
 			got := DijkstraPotentialsInto(ws, g, s, CostWeight, nil)
 			sameTree(t, "dijkstra", want, got)
+			sameTree(t, "dijkstraCSR", DijkstraCSRInto(fresh(), c, s, LinCost), DijkstraCSRInto(ws, c, s, LinCost))
 		}
 
-		wantT, wantCyc, wantOK := SPFA(g, s, CostWeight)
-		gotT, gotCyc, gotOK := SPFAInto(ws, g, s, CostWeight)
+		wantT, wantCyc, wantOK := SPFAAllCSRInto(fresh(), c, LinCost, nil)
+		gotT, gotCyc, gotOK := SPFAAllCSRInto(ws, c, LinCost, nil)
 		if wantOK != gotOK {
 			t.Fatalf("spfa: ok %v vs %v", wantOK, gotOK)
 		}
-		if wantOK {
-			sameTree(t, "spfa", wantT, gotT)
-		} else if len(wantCyc.Edges) != len(gotCyc.Edges) {
-			t.Fatalf("spfa: cycle lengths %d vs %d", len(wantCyc.Edges), len(gotCyc.Edges))
-		}
+		sameTree(t, "spfa", wantT, gotT)
+		sameCycle(t, "spfa", wantCyc, gotCyc)
 
-		wantT, wantCyc, wantOK = BellmanFordAll(g, CostWeight)
-		gotT, gotCyc, gotOK = BellmanFordAllInto(ws, g, CostWeight)
+		wantT, wantCyc, wantOK = BellmanFordCSRInto(fresh(), c, s, LinCost)
+		gotT, gotCyc, gotOK = BellmanFordCSRInto(ws, c, s, LinCost)
+		if wantOK != gotOK {
+			t.Fatalf("bf: ok %v vs %v", wantOK, gotOK)
+		}
+		sameTree(t, "bf", wantT, gotT)
+		sameCycle(t, "bf", wantCyc, gotCyc)
+
+		wantT, wantCyc, wantOK = BellmanFordAllCSRInto(fresh(), c, LinCost, nil)
+		gotT, gotCyc, gotOK = BellmanFordAllCSRInto(ws, c, LinCost, nil)
 		if wantOK != gotOK {
 			t.Fatalf("bfAll: ok %v vs %v", wantOK, gotOK)
 		}
-		if wantOK {
-			sameTree(t, "bfAll", wantT, gotT)
-		} else if len(wantCyc.Edges) != len(gotCyc.Edges) {
-			t.Fatalf("bfAll: cycle lengths %d vs %d", len(wantCyc.Edges), len(gotCyc.Edges))
-		}
+		sameTree(t, "bfAll", wantT, gotT)
+		sameCycle(t, "bfAll", wantCyc, gotCyc)
 
-		wantCyc2, wantNeg, wantDone := SPFAAllBounded(g, CostWeight, 1<<30)
-		gotCyc2, gotNeg, gotDone := SPFAAllBoundedInto(ws, g, CostWeight, 1<<30)
+		wantCyc2, wantNeg, wantDone := SPFAAllBoundedCSRInto(fresh(), c, LinCost, 1<<30)
+		gotCyc2, gotNeg, gotDone := SPFAAllBoundedCSRInto(ws, c, LinCost, 1<<30)
 		if wantNeg != gotNeg || wantDone != gotDone {
 			t.Fatalf("spfaBounded: (%v,%v) vs (%v,%v)", wantNeg, wantDone, gotNeg, gotDone)
 		}
-		if wantNeg && len(wantCyc2.Edges) != len(gotCyc2.Edges) {
-			t.Fatalf("spfaBounded: cycle lengths differ")
-		}
+		sameCycle(t, "spfaBounded", wantCyc2, gotCyc2)
 	}
 }
 

@@ -54,14 +54,34 @@ func TestFingerprintCanonical(t *testing.T) {
 		t.Fatalf("clone fingerprint %v != %v", got, want)
 	}
 
-	// A FlipEdge round trip restores the edge tuple and the fingerprint.
-	clone.G.FlipEdge(2)
-	if got := Fingerprint(clone, "", 0); got == want {
+	// Edge direction is part of the key: the same graph with edge 2
+	// reversed and negated (as in a residual graph) hashes differently,
+	// and the untouched clone still matches.
+	flipped := base
+	flipped.G = graph.New(base.G.NumNodes())
+	for _, e := range base.G.EdgesView() {
+		if e.ID == 2 {
+			flipped.G.AddEdge(e.To, e.From, -e.Cost, -e.Delay)
+		} else {
+			flipped.G.AddEdge(e.From, e.To, e.Cost, e.Delay)
+		}
+	}
+	if got := Fingerprint(flipped, "", 0); got == want {
 		t.Fatal("flipped graph must hash differently (edge reversed and negated)")
 	}
-	clone.G.FlipEdge(2)
 	if got := Fingerprint(clone, "", 0); got != want {
-		t.Fatalf("flip round trip fingerprint %v != %v", got, want)
+		t.Fatalf("clone fingerprint after building the flipped copy %v != %v", got, want)
+	}
+
+	// A weight-edit round trip restores the edge tuple and the fingerprint.
+	e := clone.G.Edge(2)
+	clone.G.SetEdgeWeights(2, e.Cost+1, e.Delay)
+	if got := Fingerprint(clone, "", 0); got == want {
+		t.Fatal("reweighted graph must hash differently")
+	}
+	clone.G.SetEdgeWeights(2, e.Cost, e.Delay)
+	if got := Fingerprint(clone, "", 0); got != want {
+		t.Fatalf("weight round trip fingerprint %v != %v", got, want)
 	}
 
 	// The wire format round trip is canonical too.

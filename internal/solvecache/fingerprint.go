@@ -10,7 +10,7 @@
 // Package contracts:
 //
 //   - Fingerprints are canonical: byte-identical across edge insertion
-//     orders, graph clones, and FlipEdge round-trips. Two requests carrying
+//     orders, graph clones, and weight-edit round-trips. Two requests carrying
 //     the same instance always land on the same owner and the same cache
 //     line, whichever node or byte order produced them.
 //   - The fingerprint + lookup path is allocation-free, and Put reuses
@@ -51,9 +51,11 @@ func (f FP) String() string {
 // Fingerprint computes the canonical fingerprint of a solve request: the
 // instance (graph shape, s, t, k, D) plus the algorithm variant and its ε.
 // The per-edge hashes are combined by summation, so the result is
-// independent of edge insertion order; FlipEdge round-trips restore every
-// edge tuple exactly and therefore the fingerprint too. The instance Name
-// is a display label and deliberately excluded. Pass variant "" / eps 0 for
+// independent of edge insertion order; an edit that restores every edge
+// tuple exactly (say SetEdgeWeights there and back) restores the fingerprint
+// too. Each tuple is ordered (From, To, Cost, Delay), so u→v and v→u hash
+// apart. The instance Name is a display label and deliberately excluded.
+// Pass variant "" / eps 0 for
 // the default exact solve; distinct variants (phase1, scaled) hash apart so
 // a cached phase-1 answer can never satisfy a full solve.
 //
