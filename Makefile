@@ -65,11 +65,13 @@ race:
 	$(GO) test -race -count=1 ./...
 
 # Short coverage-guided fuzz: SolveCtx (random instances, poll strides and
-# fault seeds must never panic or violate the delay bound) and the lint
-# directive parsers (arbitrary comment text must parse fully or error,
-# never half-succeed).
+# fault seeds must never panic or violate the delay bound), the instance
+# parser against its line-scanner reference (same error text or the same
+# instance on every input) and the lint directive parsers (arbitrary
+# comment text must parse fully or error, never half-succeed).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveCtx$$' -fuzztime 10s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadInstance$$' -fuzztime 10s ./internal/graph/
 	$(GO) test -run '^$$' -fuzz '^FuzzDirectiveParser$$' -fuzztime 5s ./internal/lint/
 
 # -short skips the large tier (bench_large_test.go); bench-large covers it.
@@ -97,12 +99,12 @@ BENCH_BASELINE := $(if $(BENCH_LAST),BENCH_$(BENCH_LAST).json)
 
 # Zero-alloc contracts: core.Solve with Options.Metrics unset must not
 # allocate above the newest baseline, SolveCtx with a live Canceller must
-# match it, the fingerprint+cache miss path must add nothing on top, and
-# the CSR phase-1 kernels must hold their alloc counts flat. -baseline
-# prints the full ns/B/allocs delta table and fails on any allocs/op
-# regression.
+# match it, the fingerprint+cache miss path must add nothing on top, the
+# CSR phase-1 kernels must hold their alloc counts flat, and decoding an
+# N=5k instance must not return to per-line allocation. -baseline prints
+# the full ns/B/allocs delta table and fails on any allocs/op regression.
 bench-guard:
-	$(GO) run ./cmd/krspbench -run SolveN60K3,SolveCtxN60K3,SolveN60K3CacheMiss,Phase1ClassicN5k,Phase1ScaledN5k -baseline $(BENCH_BASELINE)
+	$(GO) run ./cmd/krspbench -run SolveN60K3,SolveCtxN60K3,SolveN60K3CacheMiss,Phase1ClassicN5k,Phase1ScaledN5k,DecodeN5k -baseline $(BENCH_BASELINE)
 
 # Flight-recorder round trip (DESIGN.md §13): generate an instance, solve
 # it with the recorder armed (krsp -flight), and render the dump with

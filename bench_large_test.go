@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/core"
@@ -85,6 +86,30 @@ func BenchmarkSolveLargeN5k(b *testing.B) { benchSolveLarge(b, 5_000, 3, core.Op
 // phase-1 kernel, for comparison against the production default.
 func BenchmarkSolveLargeN5kScaled(b *testing.B) {
 	benchSolveLarge(b, 5_000, 3, core.Options{Phase1Kernel: "scaled"})
+}
+
+// BenchmarkDecodeN5k is krspd's decode layer on an N=5k body, the work a
+// cache hit does before it fingerprints: graph.ReadInstance plus Validate.
+func BenchmarkDecodeN5k(b *testing.B) {
+	if testing.Short() {
+		b.Skip("large tier: skipped under -short")
+	}
+	var body bytes.Buffer
+	if err := graph.WriteInstance(&body, largeInstance(b, 5_000, 3)); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(body.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ins, err := graph.ReadInstance(bytes.NewReader(body.Bytes()))
+		if err == nil {
+			err = ins.Validate()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func benchSolveLarge(b *testing.B, n, k int, opts core.Options) {

@@ -17,6 +17,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -451,6 +452,25 @@ func suite() []bench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				shortest.SPFAAllCSRInto(ws, c, shortest.LinCost, nil)
+			}
+		}},
+		{"DecodeN5k", func(b *testing.B) {
+			// krspd's decode layer on an N=5k body: ReadInstance plus
+			// Validate, the work a cache hit does before it fingerprints.
+			// The guarded allocs/op stays constant in the body size.
+			var body bytes.Buffer
+			if err := graph.WriteInstance(&body, largeInstance(5_000, 3)); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ins, err := graph.ReadInstance(bytes.NewReader(body.Bytes()))
+				if err == nil {
+					err = ins.Validate()
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		// Large tier: classic vs scaled phase-1 kernel on the same instance.

@@ -234,7 +234,9 @@ func TestClusterProxyBitIdentical(t *testing.T) {
 }
 
 // TestClusterCacheHitFast: repeat solves of a cached fingerprint are
-// answered from memory — sub-millisecond, flagged "hit", counted.
+// answered from memory — flagged "hit", counted, and no solve runs. The
+// sub-millisecond bound holds only without -race, whose instrumentation
+// puts a hit at 1.0–1.2 ms on a 2-CPU machine.
 func TestClusterCacheHitFast(t *testing.T) {
 	srv, s := testServerCfg(t, config{maxBody: 1 << 20, cacheSize: 8, cacheTTL: time.Hour})
 	body := instancePayload(t, testInstance(10, 2))
@@ -253,7 +255,7 @@ func TestClusterCacheHitFast(t *testing.T) {
 			t.Fatalf("repeat %d: status %d cache %q, want 200/hit", i, code, out.Cache)
 		}
 	}
-	if best >= time.Millisecond {
+	if !raceEnabled && best >= time.Millisecond {
 		t.Fatalf("best cache-hit latency %v, want < 1ms", best)
 	}
 	if got := s.reg.Cluster.CacheHits.Value(); got != 20 {
@@ -261,6 +263,9 @@ func TestClusterCacheHitFast(t *testing.T) {
 	}
 	if got := s.reg.Cluster.CacheMisses.Value(); got != 1 {
 		t.Fatalf("krsp_cache_misses_total = %d, want 1", got)
+	}
+	if got := s.reg.Solver.Solves.Value(); got != 1 {
+		t.Fatalf("krsp_solves_total = %d, want 1 (hits must not solve)", got)
 	}
 }
 

@@ -197,6 +197,24 @@ func TestSolveBodyLimit(t *testing.T) {
 	}
 }
 
+// TestHugeNodeCountRejected: a body naming more than graph.MaxNodes nodes
+// is a 400 on both instance endpoints, not an allocation that could take
+// the process down.
+func TestHugeNodeCountRejected(t *testing.T) {
+	srv, _ := testServer(t, 1<<20, false)
+	for _, path := range []string{"/solve", "/feasible"} {
+		resp, err := http.Post(srv.URL+path, "text/plain", strings.NewReader("krsp v1\nnodes 100000000\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "exceeds MaxNodes") {
+			t.Fatalf("%s: status %d %q, want 400 naming MaxNodes", path, resp.StatusCode, msg)
+		}
+	}
+}
+
 func TestFeasibleEndpoint(t *testing.T) {
 	srv, _ := testServer(t, 1<<20, false)
 	resp, err := http.Post(srv.URL+"/feasible", "text/plain", instanceBody(t, 10, 2))

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -479,11 +478,14 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // readBody reads the size-capped request body whole, mapping an over-limit
-// read to 413.
+// read to 413. The buffer is sized once from Content-Length, capped at the
+// body limit; a body of unknown length grows it as it arrives.
 func (s *server) readBody(w http.ResponseWriter, r *http.Request, fail func(string, int)) ([]byte, bool) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBody)
-	raw, err := io.ReadAll(body)
-	if err != nil {
+	var buf bytes.Buffer
+	if n := min(r.ContentLength, s.cfg.maxBody); n > 0 {
+		buf.Grow(int(n) + bytes.MinRead) // MinRead: room for the read that sees EOF
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.maxBody)); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			fail(fmt.Sprintf("body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
@@ -492,7 +494,7 @@ func (s *server) readBody(w http.ResponseWriter, r *http.Request, fail func(stri
 		}
 		return nil, false
 	}
-	return raw, true
+	return buf.Bytes(), true
 }
 
 func (s *server) handleFeasible(w http.ResponseWriter, r *http.Request) {

@@ -70,6 +70,9 @@ func ReadDIMACS(r io.Reader) (Instance, error) {
 			if err != nil || n < 0 {
 				return fail("bad node count %q", fields[2])
 			}
+			if n > MaxNodes {
+				return fail("node count %d exceeds MaxNodes=%d", n, MaxNodes)
+			}
 			g = New(n)
 			ins.G = g
 		case "q":

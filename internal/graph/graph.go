@@ -130,28 +130,43 @@ func (g *Digraph) OutDegree(v NodeID) int { g.checkNode(v); return len(g.out[v])
 // InDegree reports the number of edges entering v.
 func (g *Digraph) InDegree(v NodeID) int { g.checkNode(v); return len(g.in[v]) }
 
-// Clone returns a deep copy of g. Adjacency lists are carved out of two
-// shared backing arrays with capacity clamped to length: the whole clone
-// costs O(1) allocations, and a later append to any one list reallocates
-// just that list (copy-on-write) instead of corrupting its neighbours.
+// Clone returns a deep copy of g, laid out by build: O(1) allocations.
 func (g *Digraph) Clone() *Digraph {
-	c := &Digraph{
-		edges: append([]Edge(nil), g.edges...),
-		out:   make([][]EdgeID, len(g.out)),
-		in:    make([][]EdgeID, len(g.in)),
+	return build(g.NumNodes(), append([]Edge(nil), g.edges...))
+}
+
+// build returns the n-vertex graph on edges, taking the slice over; edge i
+// must have ID i and endpoints below n. Every adjacency list is a window of
+// one of two backing arrays and lists IDs ascending, as AddEdge in ID order
+// would, with capacity clamped to length: the whole build costs O(1)
+// allocations, and a later append to any one list reallocates just that
+// list (copy-on-write) instead of corrupting its neighbours.
+func build(n int, edges []Edge) *Digraph {
+	g := &Digraph{edges: edges, out: make([][]EdgeID, n), in: make([][]EdgeID, n)}
+	deg := make([]int32, 2*n) // out-degrees, then in-degrees
+	for _, e := range edges {
+		deg[e.From]++
+		deg[n+int(e.To)]++
 	}
-	outBack := make([]EdgeID, len(g.edges))
-	inBack := make([]EdgeID, len(g.edges))
-	var o, i int
-	for v := range g.out {
-		n := copy(outBack[o:], g.out[v])
-		c.out[v] = outBack[o : o+n : o+n]
-		o += n
-		n = copy(inBack[i:], g.in[v])
-		c.in[v] = inBack[i : i+n : i+n]
-		i += n
+	carve(g.out, deg[:n], len(edges))
+	carve(g.in, deg[n:], len(edges))
+	for _, e := range edges {
+		g.out[e.From] = append(g.out[e.From], e.ID)
+		g.in[e.To] = append(g.in[e.To], e.ID)
 	}
-	return c
+	return g
+}
+
+// carve points each rows[v] at an empty window of a fresh m-slot array with
+// capacity deg[v], the windows consecutive in v, so appending row v's
+// deg[v] entries fills its window in place.
+func carve(rows [][]EdgeID, deg []int32, m int) {
+	back := make([]EdgeID, m)
+	o := 0
+	for v, d := range deg {
+		rows[v] = back[o : o : o+int(d)]
+		o += int(d)
+	}
 }
 
 // Reverse returns a new graph with every edge direction flipped. Edge IDs,
@@ -232,6 +247,13 @@ func (g *Digraph) MaxDelay() int64 {
 // entries are ± sums of capped inputs).
 const MaxWeight int64 = 1 << 30
 
+// MaxNodes is the largest node count ReadInstance and ReadDIMACS accept. A
+// graph's adjacency costs two n-element row arrays as soon as n is known, so
+// without a cap a request of a few bytes naming a huge count could exhaust
+// memory before its first edge is read. 2^22 is 84× the largest N any
+// benchmark or experiment uses (50k).
+const MaxNodes = 1 << 22
+
 // HasNonNegativeWeights reports whether every edge has cost ≥ 0 and
 // delay ≥ 0 (true for problem inputs, false for residual graphs).
 func (g *Digraph) HasNonNegativeWeights() bool {
@@ -254,12 +276,16 @@ func (g *Digraph) FindEdges(u, v NodeID) []EdgeID {
 	return ids
 }
 
-// Validate checks internal adjacency consistency. It is used by tests and
-// by fuzz-style property checks; it returns a descriptive error on the
+// Validate checks internal adjacency consistency: edge IDs match their
+// positions, endpoints are in range, every row lists only known edges
+// incident to its vertex on the right side, and every edge appears twice
+// across all rows. It runs on every solver entry point (through
+// Instance.Validate) and so on every krspd request, in O(n + m) time with
+// one allocation, a per-edge counter; it returns a descriptive error on the
 // first inconsistency found.
 func (g *Digraph) Validate() error {
 	n := g.NumNodes()
-	seen := make(map[EdgeID]int)
+	seen := make([]int32, len(g.edges))
 	for v := 0; v < n; v++ {
 		for _, id := range g.out[v] {
 			if int(id) >= len(g.edges) {

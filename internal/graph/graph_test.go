@@ -1,10 +1,16 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -355,6 +361,84 @@ func TestReadInstanceErrors(t *testing.T) {
 	for i, src := range cases {
 		if _, err := ReadInstance(strings.NewReader(src)); err == nil {
 			t.Errorf("case %d accepted: %q", i, src)
+		}
+	}
+}
+
+// TestReadNodeCountCap: a node count above MaxNodes fails on its own line
+// before anything n-sized is allocated, in both text formats.
+func TestReadNodeCountCap(t *testing.T) {
+	for _, tc := range []struct {
+		read func(io.Reader) (Instance, error)
+		src  string
+		want string
+	}{
+		{ReadInstance, "krsp v1\nnodes 100000000\n", "line 2: node count 100000000 exceeds MaxNodes=4194304"},
+		{ReadDIMACS, "c big\np sp 100000000 0\n", "dimacs line 2: node count 100000000 exceeds MaxNodes=4194304"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := tc.read(strings.NewReader(tc.src))
+		runtime.ReadMemStats(&after)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%q: error %v, want %q", tc.src, err, tc.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%q: allocated %d bytes before failing, want < 1 MiB", tc.src, got)
+		}
+	}
+}
+
+// TestReadInstanceLineCap: a line of maxLine bytes or more fails with
+// bufio.ErrTooLong and one byte shorter parses, with or without a newline
+// after it, as in the reference parser.
+func TestReadInstanceLineCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("16 MiB lines: skipped under -short")
+	}
+	for _, tc := range []struct {
+		pad  int
+		tail string
+		want string
+	}{
+		{maxLine - 1, "\nnodes 1\n", "<nil>"},
+		{maxLine - 1, "", "missing 'nodes' directive"},
+		{maxLine, "\nnodes 1\n", bufio.ErrTooLong.Error()},
+		{maxLine, "", bufio.ErrTooLong.Error()},
+	} {
+		src := "krsp v1\n#" + strings.Repeat("x", tc.pad-1) + tc.tail
+		_, err := ReadInstance(strings.NewReader(src))
+		_, refErr := refReadInstance(strings.NewReader(src))
+		if got, ref := fmt.Sprint(err), fmt.Sprint(refErr); got != tc.want || ref != tc.want {
+			t.Errorf("%d-byte line then %q: error %s, reference %s, want %s", tc.pad, tc.tail, got, ref, tc.want)
+		}
+	}
+}
+
+// TestReadInstanceReadError: a reader failing mid-input yields its error
+// unwrapped once every line read before it has parsed, so a bad line before
+// the failure wins, as in the reference parser.
+func TestReadInstanceReadError(t *testing.T) {
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		prefix string
+		want   string
+	}{
+		{"", "boom"},
+		{"krsp v1\nnodes 2\nedge 0 1 2 3", "boom"},
+		{"krsp v1\nnodes 2\nedge 0 1 2", "line 3: edge wants 4 arguments"},
+		{"krsp v1\nfrob\nnodes 2\n", "line 2: unknown directive \"frob\""},
+	} {
+		read := func(parse func(io.Reader) (Instance, error)) error {
+			_, err := parse(io.MultiReader(strings.NewReader(tc.prefix), iotest.ErrReader(boom)))
+			return err
+		}
+		err, refErr := read(ReadInstance), read(refReadInstance)
+		if fmt.Sprint(err) != tc.want || fmt.Sprint(refErr) != tc.want {
+			t.Errorf("%q: error %v, reference %v, want %s", tc.prefix, err, refErr, tc.want)
+		}
+		if tc.want == "boom" && !errors.Is(err, boom) {
+			t.Errorf("%q: read error %v does not match errors.Is", tc.prefix, err)
 		}
 	}
 }
