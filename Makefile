@@ -102,7 +102,8 @@ BENCH_BASELINE := $(if $(BENCH_LAST),BENCH_$(BENCH_LAST).json)
 # match it, the fingerprint+cache miss path must add nothing on top, the
 # CSR phase-1 kernels must hold their alloc counts flat, and decoding an
 # N=5k instance must not return to per-line allocation. -baseline prints
-# the full ns/B/allocs delta table and fails on any allocs/op regression.
+# the full ns/B/allocs delta table and fails on any allocs/op regression or
+# on a B/op rise of more than 5%.
 bench-guard:
 	$(GO) run ./cmd/krspbench -run SolveN60K3,SolveCtxN60K3,SolveN60K3CacheMiss,Phase1ClassicN5k,Phase1ScaledN5k,DecodeN5k -baseline $(BENCH_BASELINE)
 

@@ -34,7 +34,7 @@ func largeInstance(b *testing.B, n, k int) graph.Instance {
 	ins := gen.LayeredGrid(42, layers, width, gen.DefaultWeights())
 	ins.K = k
 	g := ins.G
-	fd, err := flow.MinCostKFlow(g, ins.S, ins.T, k, shortest.DelayWeight)
+	fd, err := flow.MinCostKFlow(g, ins.S, ins.T, k, shortest.LinDelay)
 	if err != nil {
 		b.Fatalf("min-delay flow: %v", err)
 	}

@@ -166,7 +166,7 @@ func BenchmarkMinCostKFlowN100(b *testing.B) {
 	ins := gen.ER(7, 100, 0.1, gen.DefaultWeights())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.CostWeight); err != nil {
+		if _, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.LinCost); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -212,7 +212,7 @@ func BenchmarkRSPLARAC(b *testing.B) {
 
 func BenchmarkBicameralFind(b *testing.B) {
 	ins := benchInstance(b, 30, 2, 1.2)
-	f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.CostWeight)
+	f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.LinCost)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func BenchmarkSolveIncremental(b *testing.B) {
 // the parallel speedup (results are bit-identical by construction).
 func BenchmarkBicameralParallel(b *testing.B) {
 	ins := benchInstance(b, 30, 2, 1.2)
-	f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.CostWeight)
+	f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.LinCost)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -287,11 +287,11 @@ func BenchmarkBicameralParallel(b *testing.B) {
 // Build it replaces, on a realistic solution-swap cycle set.
 func BenchmarkResidualUpdate(b *testing.B) {
 	ins := gen.ER(7, 100, 0.1, gen.DefaultWeights())
-	f1, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.CostWeight)
+	f1, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.LinCost)
 	if err != nil {
 		b.Fatal(err)
 	}
-	f2, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.DelayWeight)
+	f2, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.LinDelay)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func BenchmarkResidualUpdate(b *testing.B) {
 
 func BenchmarkResidualBuild(b *testing.B) {
 	ins := gen.ER(7, 100, 0.1, gen.DefaultWeights())
-	f1, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.CostWeight)
+	f1, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.LinCost)
 	if err != nil {
 		b.Fatal(err)
 	}

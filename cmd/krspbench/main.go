@@ -9,11 +9,12 @@
 //	krspbench -out report.json      # custom output path
 //	krspbench -run Solve,Residual   # substring-filtered subset
 //	krspbench -guard BENCH_1.json   # fail if allocs/op regress above the
-//	                                # baseline (no report written unless
-//	                                # -out is given explicitly)
+//	                                # baseline or B/op more than 5% above
+//	                                # it (no report written unless -out is
+//	                                # given explicitly)
 //	krspbench -baseline BENCH_1.json# per-benchmark delta table (ns/op, B/op,
 //	                                # allocs/op vs the baseline), failing on
-//	                                # any allocs/op regression
+//	                                # the same regressions as -guard
 package main
 
 import (
@@ -74,8 +75,8 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("krspbench", flag.ContinueOnError)
 	outPath := fs.String("out", "BENCH_1.json", "output JSON path (- for stdout)")
 	filter := fs.String("run", "", "comma-separated substrings; empty = all")
-	guardPath := fs.String("guard", "", "baseline JSON: fail on allocs/op regression instead of writing a report")
-	basePath := fs.String("baseline", "", "baseline JSON: print a per-benchmark delta table and fail on allocs/op regression")
+	guardPath := fs.String("guard", "", "baseline JSON: fail on an allocs/op or B/op regression instead of writing a report")
+	basePath := fs.String("baseline", "", "baseline JSON: print a per-benchmark delta table and fail on an allocs/op or B/op regression")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -144,65 +145,87 @@ func run(args []string, out io.Writer) error {
 	return os.WriteFile(*outPath, data, 0o644)
 }
 
-// guard compares allocs/op for every benchmark present in both the current
-// run and the baseline report, and fails on any regression. allocs/op is
-// the guarded quantity (it is deterministic, unlike ns/op): the zero-alloc
-// observability contract says core.Solve with Options.Metrics unset must
-// not allocate more than the pre-instrumentation baseline.
-func guard(out io.Writer, path string, current []record) error {
+// bytesTolerancePct is how far, in percent, a row's B/op may rise above its
+// baseline before the guard fails it. B/op is near-deterministic: over two
+// consecutive full krspbench runs on one 2-CPU machine every row's B/op
+// agreed within 13 bytes (0.003%), so 5% leaves room for runtime noise
+// while still catching a real growth. allocs/op alone is not enough: 1,636
+// allocs/op once hid 2.27 GB/op.
+const bytesTolerancePct = 5
+
+// regressions lists how r regressed against its baseline row b: any rise
+// in allocs/op, or a B/op rise of more than bytesTolerancePct.
+func regressions(r, b record) []string {
+	var out []string
+	if r.AllocsPerOp > b.AllocsPerOp {
+		out = append(out, fmt.Sprintf("%s: %d allocs/op > baseline %d", r.Name, r.AllocsPerOp, b.AllocsPerOp))
+	}
+	if r.BytesPerOp*100 > b.BytesPerOp*(100+bytesTolerancePct) {
+		out = append(out, fmt.Sprintf("%s: %d B/op > baseline %d + %d%%", r.Name, r.BytesPerOp, b.BytesPerOp, bytesTolerancePct))
+	}
+	return out
+}
+
+// readBaseline loads a report's rows by name.
+func readBaseline(path string) (map[string]record, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var base report
 	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
+		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
-	baseline := make(map[string]int64, len(base.Benchmarks))
+	baseline := make(map[string]record, len(base.Benchmarks))
 	for _, r := range base.Benchmarks {
-		baseline[r.Name] = r.AllocsPerOp
+		baseline[r.Name] = r
+	}
+	return baseline, nil
+}
+
+// guard compares every benchmark present in both the current run and the
+// baseline report, and fails on any regression (see regressions). allocs/op
+// and B/op are the guarded quantities because they are deterministic, or
+// nearly so, unlike ns/op: the zero-alloc observability contract says
+// core.Solve with Options.Metrics unset must not allocate more than the
+// pre-instrumentation baseline, in count or in bytes.
+func guard(out io.Writer, path string, current []record) error {
+	baseline, err := readBaseline(path)
+	if err != nil {
+		return err
 	}
 	compared := 0
 	var regressed []string
 	for _, r := range current {
-		want, ok := baseline[r.Name]
+		b, ok := baseline[r.Name]
 		if !ok {
 			fmt.Fprintf(out, "guard: %-22s no baseline, skipped\n", r.Name)
 			continue
 		}
 		compared++
-		if r.AllocsPerOp > want {
-			regressed = append(regressed,
-				fmt.Sprintf("%s: %d allocs/op > baseline %d", r.Name, r.AllocsPerOp, want))
+		if reg := regressions(r, b); len(reg) > 0 {
+			regressed = append(regressed, reg...)
 		} else {
-			fmt.Fprintf(out, "guard: %-22s %d allocs/op ≤ baseline %d\n", r.Name, r.AllocsPerOp, want)
+			fmt.Fprintf(out, "guard: %-22s %d allocs/op ≤ baseline %d, %d B/op within %d%% of baseline %d\n",
+				r.Name, r.AllocsPerOp, b.AllocsPerOp, r.BytesPerOp, bytesTolerancePct, b.BytesPerOp)
 		}
 	}
 	if compared == 0 {
 		return fmt.Errorf("guard: no benchmark in common with %s (check -run filter)", path)
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("alloc regression vs %s:\n  %s", path, strings.Join(regressed, "\n  "))
+		return fmt.Errorf("regression vs %s:\n  %s", path, strings.Join(regressed, "\n  "))
 	}
 	return nil
 }
 
 // diffBaseline prints a per-benchmark delta table against a previous report
-// and, like guard, fails on any allocs/op regression. ns/op and B/op deltas
-// are informational (they are machine- and load-dependent); allocs/op is the
-// deterministic, guarded column.
+// and, like guard, fails on any allocs/op or B/op regression. ns/op deltas
+// are informational (they are machine- and load-dependent).
 func diffBaseline(out io.Writer, path string, current []record) error {
-	data, err := os.ReadFile(path)
+	baseline, err := readBaseline(path)
 	if err != nil {
 		return err
-	}
-	var base report
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	baseline := make(map[string]record, len(base.Benchmarks))
-	for _, r := range base.Benchmarks {
-		baseline[r.Name] = r
 	}
 	pct := func(cur, old float64) string {
 		if old == 0 {
@@ -227,16 +250,13 @@ func diffBaseline(out io.Writer, path string, current []record) error {
 			r.Name, r.NsPerOp, pct(r.NsPerOp, b.NsPerOp),
 			r.BytesPerOp, pct(float64(r.BytesPerOp), float64(b.BytesPerOp)),
 			r.AllocsPerOp, r.AllocsPerOp-b.AllocsPerOp)
-		if r.AllocsPerOp > b.AllocsPerOp {
-			regressed = append(regressed,
-				fmt.Sprintf("%s: %d allocs/op > baseline %d", r.Name, r.AllocsPerOp, b.AllocsPerOp))
-		}
+		regressed = append(regressed, regressions(r, b)...)
 	}
 	if compared == 0 {
 		return fmt.Errorf("baseline: no benchmark in common with %s (check -run filter)", path)
 	}
 	if len(regressed) > 0 {
-		return fmt.Errorf("alloc regression vs %s:\n  %s", path, strings.Join(regressed, "\n  "))
+		return fmt.Errorf("regression vs %s:\n  %s", path, strings.Join(regressed, "\n  "))
 	}
 	return nil
 }
@@ -275,7 +295,7 @@ func largeInstance(n, k int) graph.Instance {
 	layers := (n + width - 1) / width
 	ins := gen.LayeredGrid(42, layers, width, gen.DefaultWeights())
 	ins.K = k
-	fd, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, k, shortest.DelayWeight)
+	fd, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, k, shortest.LinDelay)
 	if err != nil {
 		panic("krspbench: large instance infeasible: " + err.Error())
 	}
@@ -416,7 +436,7 @@ func suite() []bench {
 		}},
 		{"ResidualBuild", func(b *testing.B) {
 			ins := gen.ER(7, 100, 0.1, gen.DefaultWeights())
-			f1, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.CostWeight)
+			f1, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.LinCost)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -487,7 +507,7 @@ func suite() []bench {
 
 func bicameralInputs() (*residual.Graph, bicameral.Params, bool) {
 	ins := benchInstance(30, 2, 1.2)
-	f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.CostWeight)
+	f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.LinCost)
 	if err != nil {
 		panic(err)
 	}
@@ -504,11 +524,11 @@ func bicameralInputs() (*residual.Graph, bicameral.Params, bool) {
 // two cycle sets that swap between them.
 func residualSwap() (*residual.Graph, []graph.Cycle, []graph.Cycle) {
 	ins := gen.ER(7, 100, 0.1, gen.DefaultWeights())
-	f1, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.CostWeight)
+	f1, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.LinCost)
 	if err != nil {
 		panic(err)
 	}
-	f2, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.DelayWeight)
+	f2, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.LinDelay)
 	if err != nil {
 		panic(err)
 	}

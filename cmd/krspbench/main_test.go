@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -50,6 +51,30 @@ func TestGuardFailsOnRegression(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "SolveN60K3: 230 allocs/op > baseline 229") {
 		t.Fatalf("error: %v", err)
+	}
+}
+
+// TestGuardBytesRule: B/op may rise by up to 5% of the baseline; beyond
+// that the row fails even with allocs/op flat, in guard and in the
+// -baseline diff alike.
+func TestGuardBytesRule(t *testing.T) {
+	path := writeBaseline(t, baselineFullJSON)
+	within := []record{{Name: "Phase1ScaledN5k", AllocsPerOp: 270, BytesPerOp: 2310000}} // +5.0%
+	beyond := []record{{Name: "Phase1ScaledN5k", AllocsPerOp: 270, BytesPerOp: 2310001}}
+	for name, check := range map[string]func(io.Writer, string, []record) error{
+		"guard": guard, "baseline": diffBaseline,
+	} {
+		var out bytes.Buffer
+		if err := check(&out, path, within); err != nil {
+			t.Fatalf("%s: +5%% B/op rejected: %v\n%s", name, err, out.String())
+		}
+		err := check(&out, path, beyond)
+		if err == nil {
+			t.Fatalf("%s: B/op regression past 5%% not caught\n%s", name, out.String())
+		}
+		if !strings.Contains(err.Error(), "Phase1ScaledN5k: 2310001 B/op > baseline 2200000 + 5%") {
+			t.Fatalf("%s: error: %v", name, err)
+		}
 	}
 }
 

@@ -184,6 +184,39 @@ func TestSolveEndpointErrors(t *testing.T) {
 	}
 }
 
+// TestSolveEdgeInstances covers valid inputs at the edges of the exact
+// arithmetic: a zero delay bound under algo=phase1 (whose potential
+// selection once divided by D) must answer 200, and weights near
+// graph.MaxWeight that would wrap int64 must answer 422 like the other
+// unsolvable-instance errors, not 500.
+func TestSolveEdgeInstances(t *testing.T) {
+	srv, _ := testServer(t, 1<<20, false)
+	const a, b = 1 << 30, 1 << 29
+	for _, tc := range []struct {
+		name, query, body string
+		want              int
+	}{
+		{"bound 0, phase1", "?algo=phase1",
+			"krsp v1\nnodes 2\nst 0 1\nk 1\nbound 0\nedge 0 1 1 1\nedge 0 1 5 0\n", http.StatusOK},
+		{"2^30 weights, phase1", "?algo=phase1", fmt.Sprintf("krsp v1\nnodes 6\nst 0 5\nk 1\nbound 1\n"+
+			"edge 0 1 0 %[1]d\nedge 1 2 0 %[1]d\nedge 2 5 0 %[1]d\nedge 0 3 %[1]d 0\nedge 3 4 %[1]d 0\nedge 4 5 %[1]d 0\n", a),
+			http.StatusUnprocessableEntity},
+		{"2^29 weights, solve", "", fmt.Sprintf("krsp v1\nnodes 6\nst 0 5\nk 1\nbound %[3]d\n"+
+			"edge 0 1 0 %[2]d\nedge 1 2 0 %[2]d\nedge 2 5 0 %[2]d\nedge 0 3 1 %[1]d\nedge 3 4 1 %[1]d\nedge 4 5 1 %[1]d\n",
+			b, b+1, 3*b+1), http.StatusUnprocessableEntity},
+	} {
+		resp, err := http.Post(srv.URL+"/solve"+tc.query, "text/plain", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Fatalf("%s: status %d, want %d (%s)", tc.name, resp.StatusCode, tc.want, msg)
+		}
+	}
+}
+
 func TestSolveBodyLimit(t *testing.T) {
 	srv, _ := testServer(t, 64, false) // 64-byte cap
 	big := strings.Repeat("# padding line beyond any reasonable limit\n", 100)

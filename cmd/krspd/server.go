@@ -449,7 +449,8 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		code := http.StatusInternalServerError
 		switch {
-		case errors.Is(err, core.ErrNoKPaths) || errors.Is(err, core.ErrDelayInfeasible):
+		case errors.Is(err, core.ErrNoKPaths) || errors.Is(err, core.ErrDelayInfeasible) ||
+			errors.Is(err, core.ErrWeightsTooLarge):
 			code = http.StatusUnprocessableEntity
 		case errors.Is(err, core.ErrNoProgress):
 			// The deadline expired before any feasible k-flow existed; the

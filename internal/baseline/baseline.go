@@ -66,7 +66,7 @@ func MinSum(ins graph.Instance) (Result, error) {
 
 // MinDelay routes the delay-minimal k disjoint paths.
 func MinDelay(ins graph.Instance) (Result, error) {
-	f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.DelayWeight)
+	f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.LinDelay)
 	if err != nil {
 		return Result{}, fmt.Errorf("baseline mindelay: %w", err)
 	}
@@ -134,10 +134,10 @@ func subgraph(g *graph.Digraph, alive []bool) (*graph.Digraph, []graph.EdgeID) {
 // the flow-polytope vertices it visits.
 func LagrangianSweep(ins graph.Instance) (Result, error) {
 	var best *Result
+	kf := flow.NewKFlowSolver(graph.NewCSR(ins.G))
 	lambda := int64(0)
 	for iter := 0; iter < 48; iter++ {
-		w := shortest.Combine(1, lambda)
-		f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, w)
+		f, err := kf.MinCostKFlow(ins.S, ins.T, ins.K, shortest.LinCombine(1, lambda), nil, nil)
 		if err != nil {
 			return Result{}, fmt.Errorf("baseline sweep: %w", err)
 		}

@@ -18,7 +18,7 @@ import (
 // tightens it to 2. Returns the solution and its realized maximum
 // per-path delay.
 func MinMax(ins graph.Instance) (graph.Solution, int64, error) {
-	f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.DelayWeight)
+	f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.LinDelay)
 	if err != nil {
 		return graph.Solution{}, 0, fmt.Errorf("baseline minmax: %w", err)
 	}

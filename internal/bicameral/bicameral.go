@@ -202,7 +202,9 @@ func Find(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
 	}
 	// Overflow guard: the combined weight multiplies ΔC/ΔD by edge weights
 	// and then by the lexicographic factor K ≈ n·max(|w|); keep the whole
-	// product comfortably inside int64.
+	// product comfortably inside int64. core.Solve checks both inequalities
+	// for every Find its loop can make and returns core.ErrWeightsTooLarge
+	// instead, so a panic here is a bug in that check or a direct caller.
 	view := rg.View()
 	n := view.NumNodes()
 	var maxW int64 = 1
@@ -219,12 +221,12 @@ func Find(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
 		scale = a
 	}
 	if maxW > (int64(1)<<60)/int64(n+2) {
-		//lint:allow nopanic exact-arithmetic guard; unreachable for MaxWeight-capped instances
+		//lint:allow nopanic exact-arithmetic bug guard; core's checkFindArithmetic refuses such instances before the cancellation loop
 		panic(fmt.Sprintf("bicameral: edge weights up to %d overflow the layered factor; rescale the instance", maxW))
 	}
 	k := int64(n+1)*maxW + 1
 	if scale > (int64(1)<<61)/(2*maxW)/k {
-		//lint:allow nopanic exact-arithmetic guard; unreachable for MaxWeight-capped instances
+		//lint:allow nopanic exact-arithmetic bug guard; core's checkFindArithmetic bounds |Δ| by max(Σcost+1, Σdelay) before the cancellation loop
 		panic(fmt.Sprintf("bicameral: weights too large for exact arithmetic "+
 			"(|Δ|=%d, max edge weight %d, n=%d); rescale the instance",
 			scale, maxW, n))

@@ -239,7 +239,7 @@ func TestFindCompleteness(t *testing.T) {
 		if flow.MaxDisjointPaths(g, s, tt) < k {
 			return true
 		}
-		fl, err := flow.MinCostKFlow(g, s, tt, k, shortest.CostWeight)
+		fl, err := flow.MinCostKFlow(g, s, tt, k, shortest.LinCost)
 		if err != nil {
 			return false
 		}
@@ -300,7 +300,7 @@ func TestLPEngineValidity(t *testing.T) {
 		if flow.MaxDisjointPaths(g, s, tt) < 1 {
 			return true
 		}
-		fl, err := flow.MinCostKFlow(g, s, tt, 1, shortest.CostWeight)
+		fl, err := flow.MinCostKFlow(g, s, tt, 1, shortest.LinCost)
 		if err != nil {
 			return false
 		}
@@ -365,7 +365,7 @@ func TestMinRatioEngineValidity(t *testing.T) {
 		if flow.MaxDisjointPaths(g, s, tt) < 1 {
 			return true
 		}
-		fl, err := flow.MinCostKFlow(g, s, tt, 1, shortest.CostWeight)
+		fl, err := flow.MinCostKFlow(g, s, tt, 1, shortest.LinCost)
 		if err != nil {
 			return false
 		}

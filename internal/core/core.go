@@ -19,6 +19,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bicameral"
 	"repro/internal/fault"
@@ -26,6 +27,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/obs/rec"
+	"repro/internal/shortest"
 )
 
 // ErrNoKPaths reports that fewer than k edge-disjoint s→t paths exist.
@@ -34,6 +36,14 @@ var ErrNoKPaths = errors.New("krsp: fewer than k edge-disjoint paths exist")
 // ErrDelayInfeasible reports that even the delay-minimal k disjoint paths
 // exceed the bound D.
 var ErrDelayInfeasible = errors.New("krsp: no k disjoint paths within the delay bound")
+
+// ErrWeightsTooLarge reports a valid instance whose weights are too large
+// for the solver's exact int64 arithmetic: a phase-1 probe weighting
+// q·cost + p·delay could wrap, or the bicameral search's layered weights
+// could (see checkProbe and checkFindArithmetic). Edge weights up to
+// graph.MaxWeight pass Validate, but a few such edges on a small graph can
+// already trip either check. Rescaling the weights down avoids it.
+var ErrWeightsTooLarge = errors.New("krsp: edge weights too large for exact arithmetic")
 
 // ErrNoProgress reports that a SolveCtx deadline fired before phase 1 had
 // produced any feasible k-flow — there is nothing, not even a degraded
@@ -204,7 +214,7 @@ func CheckFeasible(ins graph.Instance) (Feasibility, error) {
 	if f.MaxDisjoint < ins.K {
 		return f, nil
 	}
-	df, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, delayWeight)
+	df, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.LinDelay)
 	if err != nil {
 		return f, fmt.Errorf("krsp: internal: max-flow admitted k but min-cost flow failed: %w", err)
 	}
@@ -213,5 +223,56 @@ func CheckFeasible(ins graph.Instance) (Feasibility, error) {
 	return f, nil
 }
 
-func delayWeight(e graph.Edge) int64 { return e.Delay }
-func costWeight(e graph.Edge) int64  { return e.Cost }
+// probeLimit caps the weight sum q·Σcost + p·Σdelay of a phase-1
+// min-cost-flow probe; see checkProbe.
+const probeLimit = 1 << 60
+
+// checkProbe returns an ErrWeightsTooLarge error unless
+// W = lw.Q·sumCost + lw.P·sumDelay ≤ 2^60, computed without wrapping. Both
+// phase-1 kernels call it before every min-cost-flow call, with the graph's
+// total cost and delay and the probe's nonnegative weighting.
+//
+// W ≤ 2^60 keeps every int64 the probe computes within ±3·2^60, inside
+// int64. Each edge weight is at most W, and a flow weight or a simple
+// residual path length, a signed sum over distinct edges, lies in [−W, W].
+// Potentials start as Dijkstra distances in [0, W] and never decrease; a
+// full update sets each finite one to a residual distance (at most W), and
+// a capped update raises it by the round's reduced s→t distance, which
+// telescopes to at most W over all rounds, so every finite potential lies
+// in [0, 2W]. A reduced weight ±w + pot[u] − pot[v] and its partial sum
+// then lie in [−3W, 3W], and a tentative distance du + rw is a simple
+// residual path's length minus a potential, in [−3W, W]. Finally
+// p·D ≤ p·Σdelay ≤ W, because the λ search runs only when the min-cost
+// flow's delay, at most Σdelay, exceeds D; so wf − p·D lies in [−W, W].
+func checkProbe(sumCost, sumDelay int64, lw shortest.LinWeight) error {
+	hc, wc := bits.Mul64(uint64(lw.Q), uint64(sumCost))
+	hd, wd := bits.Mul64(uint64(lw.P), uint64(sumDelay))
+	if hc != 0 || hd != 0 || wc > probeLimit || wd > probeLimit || wc+wd > probeLimit {
+		return fmt.Errorf("%w: phase-1 weighting %d·cost + %d·delay sums past 2^60 (Σcost %d, Σdelay %d)",
+			ErrWeightsTooLarge, lw.Q, lw.P, sumCost, sumDelay)
+	}
+	return nil
+}
+
+// checkFindArithmetic returns an ErrWeightsTooLarge error unless the two
+// exact-arithmetic inequalities bicameral.Find guards hold for every Find
+// the cancellation loop can make. Find takes |Δ| = max(|ΔC|, |ΔD|); here
+// it is replaced by max(Σcost+1, Σdelay), which bounds both: C_ref never
+// exceeds Σcost+1 and the current cost is nonnegative, so 0 < ΔC ≤ Σcost+1;
+// and the current flow's delay exceeds D ≥ 0 inside the loop, so
+// |ΔD| ≤ Σdelay. Find's residual view carries the problem graph's weights
+// up to sign, so its largest |weight| is the one computed here.
+func checkFindArithmetic(g *graph.Digraph) error {
+	n := g.NumNodes()
+	maxW := max(int64(1), g.MaxCost(), g.MaxDelay())
+	scale := max(g.SumCost()+1, g.SumDelay())
+	if maxW > (int64(1)<<60)/int64(n+2) {
+		return fmt.Errorf("%w: edge weights up to %d overflow the layered factor at n=%d", ErrWeightsTooLarge, maxW, n)
+	}
+	k := int64(n+1)*maxW + 1
+	if scale > (int64(1)<<61)/(2*maxW)/k {
+		return fmt.Errorf("%w: cycle search needs |Δ| ≤ %d at max edge weight %d and n=%d, but Σcost+1, Σdelay reach %d",
+			ErrWeightsTooLarge, (int64(1)<<61)/(2*maxW)/k, maxW, n, scale)
+	}
+	return nil
+}

@@ -48,9 +48,11 @@ type Phase1Result struct {
 // among Lo and Hi — the Lemma 5 selection — using exact big-rational
 // arithmetic. By LP optimality min(φ) ≤ 2.
 func (p Phase1Result) ChooseByPotential(g *graph.Digraph, bound int64) flow.UnitFlow {
-	if p.Exact || p.CLP.Sign() == 0 {
+	if p.Exact || p.CLP.Sign() == 0 || bound == 0 {
 		// With C_LP = 0 the cost ratio is meaningless; Lo is feasible and
-		// cost-degenerate instances are solved by it directly.
+		// cost-degenerate instances are solved by it directly. With D = 0
+		// every bound-violating flow has infinite potential, so Lo (delay
+		// 0) is the only finite choice.
 		return p.Lo
 	}
 	phi := func(f flow.UnitFlow) *big.Rat {
@@ -93,10 +95,13 @@ func phase1(ins graph.Instance, fm *obs.FlowMetrics, c *cancel.Canceller, r *rec
 	// All min-cost-flow calls in the Lagrangian search run on one frozen CSR
 	// view through one reusable solver: packing costs O(n + m) once, and the
 	// ~10 flow computations per phase 1 then allocate nothing but their
-	// result sets. The solver's augmentation order is bit-identical to the
-	// Digraph path, so this port changes no output anywhere downstream.
+	// result sets.
 	kf := flow.NewKFlowSolver(graph.NewCSR(g))
 	kf.SetRecorder(r)
+	sumC, sumD := g.SumCost(), g.SumDelay()
+	if err := checkProbe(sumC, sumD, shortest.LinCost); err != nil {
+		return Phase1Result{}, err
+	}
 	fc, err := kf.MinCostKFlow(s, t, k, shortest.LinCost, fm, c)
 	if err != nil {
 		if errors.Is(err, cancel.ErrCancelled) {
@@ -109,6 +114,9 @@ func phase1(ins graph.Instance, fm *obs.FlowMetrics, c *cancel.Canceller, r *rec
 		return Phase1Result{Lo: fc, Hi: fc, Exact: true,
 			CLP: clp, CLPCeil: fc.Cost(g),
 			Stats: Phase1Stats{CLPNum: fc.Cost(g), CLPDen: 1}}, nil
+	}
+	if err := checkProbe(sumC, sumD, shortest.LinDelay); err != nil {
+		return Phase1Result{}, err
 	}
 	fd, err := kf.MinCostKFlow(s, t, k, shortest.LinDelay, fm, c)
 	if err != nil {
@@ -142,8 +150,11 @@ func phase1(ins graph.Instance, fm *obs.FlowMetrics, c *cancel.Canceller, r *rec
 		if p < 0 {
 			p = 0 // cost(lo) < cost(hi) can only happen via ties; λ=0 ends it
 		}
-		w := shortest.Combine(q, p)
-		f, err := kf.MinCostKFlow(s, t, k, shortest.LinCombine(q, p), fm, c)
+		w := shortest.LinCombine(q, p)
+		if err := checkProbe(sumC, sumD, w); err != nil {
+			return Phase1Result{}, err
+		}
+		f, err := kf.MinCostKFlow(s, t, k, w, fm, c)
 		if err != nil {
 			if errors.Is(err, cancel.ErrCancelled) {
 				degraded = true

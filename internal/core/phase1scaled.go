@@ -70,6 +70,10 @@ func phase1Scaled(ins graph.Instance, eps float64, fm *obs.FlowMetrics, c *cance
 	// Endpoint flows use the full (non-target-stopped) rounds: their delay
 	// values gate the Exact shortcut and the infeasibility verdict, and
 	// target-stopping could tie-break onto a different optimal flow.
+	sumC, sumD := g.SumCost(), g.SumDelay()
+	if err := checkProbe(sumC, sumD, shortest.LinCost); err != nil {
+		return Phase1Result{}, err
+	}
 	fc, err := kf.MinCostKFlow(s, t, k, shortest.LinCost, fm, c)
 	if err != nil {
 		if errors.Is(err, cancel.ErrCancelled) {
@@ -82,6 +86,9 @@ func phase1Scaled(ins graph.Instance, eps float64, fm *obs.FlowMetrics, c *cance
 		return Phase1Result{Lo: fc, Hi: fc, Exact: true,
 			CLP: clp, CLPCeil: fc.Cost(g),
 			Stats: Phase1Stats{CLPNum: fc.Cost(g), CLPDen: 1}}, nil
+	}
+	if err := checkProbe(sumC, sumD, shortest.LinDelay); err != nil {
+		return Phase1Result{}, err
 	}
 	fd, err := kf.MinCostKFlow(s, t, k, shortest.LinDelay, fm, c)
 	if err != nil {
@@ -126,8 +133,11 @@ func phase1Scaled(ins graph.Instance, eps float64, fm *obs.FlowMetrics, c *cance
 		if p < 0 {
 			p = 0
 		}
-		w := shortest.Combine(q, p)
-		f, err := kf.MinCostKFlowTarget(s, t, k, shortest.LinCombine(q, p), fm, c)
+		w := shortest.LinCombine(q, p)
+		if err := checkProbe(sumC, sumD, w); err != nil {
+			return Phase1Result{}, err
+		}
+		f, err := kf.MinCostKFlowTarget(s, t, k, w, fm, c)
 		if err != nil {
 			if errors.Is(err, cancel.ErrCancelled) {
 				degraded = true

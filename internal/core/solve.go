@@ -110,6 +110,9 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 		chosen := p1.ChooseByPotential(g, ins.Bound)
 		return finish(ins, chosen.Edges, p1, stats, false, m, r)
 	}
+	if err := checkFindArithmetic(g); err != nil {
+		return Result{}, err
+	}
 
 	// Algorithm 1 proper: start from the bound-violating Lagrangian
 	// endpoint (its cost is ≤ C_LP, establishing Lemma 11's induction) and

@@ -12,17 +12,19 @@ import (
 )
 
 // KFlowSolver computes min-cost k-flows over a frozen CSR view with
-// reusable scratch. Phase 1 calls min-cost flow ~10 times per solve (two
-// endpoint flows plus the Lagrangian iterations) on the SAME graph;
-// minCostKFlow re-allocates its workspace, potential, distance, parent and
-// heap arrays on every call, which dominated both the allocation budget and
-// the cache behaviour at N ≥ 5k. A solver instance hoists all of that: a
-// call allocates only its UnitFlow result.
+// reusable scratch: it is the package's one min-cost-flow kernel
+// (MinCostKFlow wraps a fresh one). Phase 1 calls min-cost flow ~10 times
+// per solve (two endpoint flows plus the Lagrangian iterations) on the SAME
+// graph; a solver instance hoists the workspace, potential, distance,
+// parent and heap arrays out of those calls, so a call allocates only its
+// UnitFlow result.
 //
 // Augmentation rounds iterate the CSR rows directly (forward arcs from
-// OutRow, cancelling arcs from InRow, both ID-ascending), which makes
-// MinCostKFlow bit-identical to minCostKFlow on the Digraph the view was
-// packed from. Not safe for concurrent use; one solver per goroutine.
+// OutRow, cancelling arcs from InRow, both ID-ascending), in the order the
+// Digraph kernel this replaced walked its adjacency lists, so the flows,
+// errors and augmentation counts are the same as that kernel's (a copy is
+// kept in this package's tests as the reference). Not safe for concurrent
+// use; one solver per goroutine.
 type KFlowSolver struct {
 	c       *graph.CSR
 	ws      *shortest.Workspace
@@ -57,10 +59,12 @@ func NewKFlowSolver(c *graph.CSR) *KFlowSolver {
 	}
 }
 
-// MinCostKFlow is minCostKFlow over the solver's CSR view: a minimum-weight
-// integral s→t flow of value k under unit capacities by successive shortest
-// paths with Johnson potentials, bit-identical to the Digraph path
-// (identical augmentation order, flows, metrics and errors).
+// MinCostKFlow computes a minimum-weight integral s→t flow of value k under
+// unit capacities over the solver's CSR view, by successive shortest paths
+// with Johnson potentials. Its first and last rounds stop once t settles
+// (see run), so flow.relaxations counts fewer relaxations than a kernel
+// whose every round settles the whole graph; flows, errors and augmentation
+// counts are unaffected.
 func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWeight, m *obs.FlowMetrics, c *cancel.Canceller) (UnitFlow, error) {
 	return kf.run(s, t, k, lw, m, c, false)
 }
@@ -101,6 +105,16 @@ func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *o
 
 	dist, parent, settled, h := kf.dist[:n], kf.parent[:n], kf.settled[:n], kf.h
 	for it := 0; it < k; it++ {
+		// The first and last rounds stop once t settles and skip the
+		// potential update. In round 1 the potentials are the initial
+		// Dijkstra's exact distances over the flow-free residual (which is
+		// the graph itself), so every reachable vertex has reduced distance
+		// 0 and every unreachable one already has potential Inf: the full
+		// update is the identity, and so is the capped one (dist[t] = 0).
+		// Nothing reads the last round's potentials. And t's parent chain is
+		// final once t settles, so either round augments the same path it
+		// would after settling every vertex.
+		edgeRound := it == 0 || it == k-1
 		for v := range dist {
 			dist[v] = shortest.Inf
 			parent[v] = arc{edge: -1}
@@ -124,7 +138,7 @@ func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *o
 				continue
 			}
 			settled[u] = true
-			if targetStop && u == t {
+			if u == t && (targetStop || edgeRound) {
 				break
 			}
 			for _, id := range cs.OutRow(u) {
@@ -175,6 +189,9 @@ func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *o
 		rounds++
 		kf.fr.Record(rec.KindAugment, rounds, dist[t], 0, 0)
 		kf.augmentAlong(parent, inFlow, s, t)
+		if edgeRound {
+			continue
+		}
 		if targetStop {
 			// Capped repair: pot'[v] = pot[v] + min(dist[v], dist[t]) keeps
 			// every residual reduced weight nonnegative without requiring the
@@ -214,8 +231,8 @@ func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *o
 	return UnitFlow{Edges: set, Value: k}, nil
 }
 
-// augmentAlong is augmentAlong over the CSR view: flip flow along the
-// parent chain from t back to s.
+// augmentAlong flips flow along the parent chain from t back to s,
+// pushing on forward arcs and cancelling on backward ones.
 //
 //krsp:terminates(the parent array encodes a simple chain from t to s, ≤ n edges)
 func (kf *KFlowSolver) augmentAlong(parent []arc, inFlow []bool, s, t graph.NodeID) {

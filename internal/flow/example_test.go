@@ -18,7 +18,7 @@ func ExampleMinCostKFlow() {
 	g.AddEdge(2, 3, 10, 0)
 	g.AddEdge(0, 3, 5, 0)
 
-	f, err := flow.MinCostKFlow(g, 0, 3, 2, shortest.CostWeight)
+	f, err := flow.MinCostKFlow(g, 0, 3, 2, shortest.LinCost)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

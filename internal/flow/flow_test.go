@@ -126,7 +126,7 @@ func bruteMaxFlow(g *graph.Digraph, s, t graph.NodeID) int {
 
 func TestMinCostKFlowOptimal(t *testing.T) {
 	g := twoDisjoint()
-	f, err := MinCostKFlow(g, 0, 3, 2, shortest.CostWeight)
+	f, err := MinCostKFlow(g, 0, 3, 2, shortest.LinCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestMinCostKFlowRerouting(t *testing.T) {
 	g.AddEdge(0, 2, 10, 0) // e2
 	g.AddEdge(2, 3, 10, 0) // e3
 	g.AddEdge(0, 3, 5, 0)  // e4 direct
-	f, err := MinCostKFlow(g, 0, 3, 2, shortest.CostWeight)
+	f, err := MinCostKFlow(g, 0, 3, 2, shortest.LinCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +158,14 @@ func TestMinCostKFlowRerouting(t *testing.T) {
 
 func TestMinCostKFlowInfeasible(t *testing.T) {
 	g := twoDisjoint()
-	_, err := MinCostKFlow(g, 0, 3, 3, shortest.CostWeight)
+	_, err := MinCostKFlow(g, 0, 3, 3, shortest.LinCost)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 	// Unreachable sink.
 	g2 := graph.New(3)
 	g2.AddEdge(0, 1, 1, 1)
-	_, err = MinCostKFlow(g2, 0, 2, 1, shortest.CostWeight)
+	_, err = MinCostKFlow(g2, 0, 2, 1, shortest.LinCost)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -173,7 +173,7 @@ func TestMinCostKFlowInfeasible(t *testing.T) {
 
 func TestMinCostKFlowZeroK(t *testing.T) {
 	g := twoDisjoint()
-	f, err := MinCostKFlow(g, 0, 3, 0, shortest.CostWeight)
+	f, err := MinCostKFlow(g, 0, 3, 0, shortest.LinCost)
 	if err != nil || f.Edges.Len() != 0 {
 		t.Fatalf("zero flow: %v %v", f.Edges.IDs(), err)
 	}
@@ -192,7 +192,7 @@ func TestMinCostKFlowMatchesBruteForce(t *testing.T) {
 		}
 		s, tt := graph.NodeID(0), graph.NodeID(n-1)
 		k := 1 + r.Intn(2)
-		got, err := MinCostKFlow(g, s, tt, k, shortest.CostWeight)
+		got, err := MinCostKFlow(g, s, tt, k, shortest.LinCost)
 		want, feasible := bruteMinCostK(g, s, tt, k)
 		if err != nil {
 			return !feasible
@@ -409,7 +409,7 @@ func TestSplitVertices(t *testing.T) {
 func TestProjectPath(t *testing.T) {
 	g := twoDisjoint()
 	sp := SplitVertices(g)
-	f, err := MinCostKFlow(sp.G, sp.Out[0], sp.In[3], 2, shortest.CostWeight)
+	f, err := MinCostKFlow(sp.G, sp.Out[0], sp.In[3], 2, shortest.LinCost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -427,14 +427,14 @@ func TestProjectPath(t *testing.T) {
 
 func TestMinCostKFlowDelayWeight(t *testing.T) {
 	g := twoDisjoint()
-	f, err := MinCostKFlow(g, 0, 3, 2, shortest.DelayWeight)
+	f, err := MinCostKFlow(g, 0, 3, 2, shortest.LinDelay)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Delay(g) != 10 {
 		t.Fatalf("delay = %d", f.Delay(g))
 	}
-	if f.Weight(g, shortest.DelayWeight) != 10 {
+	if f.Weight(g, shortest.LinDelay) != 10 {
 		t.Fatal("Weight() mismatch")
 	}
 }

@@ -3,27 +3,34 @@
 // need; indices are dense integers (vertex IDs).
 package pq
 
-// Heap is an indexed min-heap over items 0..n-1. The zero value is not
-// usable; construct with New.
+import "math"
+
+// entry is one heap slot: an item with its key stored inline, so a sift
+// compares keys without loading them through the item.
+type entry struct {
+	key  int64
+	item int32
+}
+
+// Heap is an indexed min-heap over items 0..n-1, n ≤ math.MaxInt32. The
+// zero value is not usable; construct with New.
+//
+// Pop order is a contract: sifts move a hole instead of swapping, but make
+// the same comparisons in the same order as a pairwise-swap heap over
+// separate item and key arrays (a key update skips only the sift its key
+// cannot take), so every Pop returns the same (item, key), ties included.
+// Callers whose parent pointers depend on tie order (the min-cost-flow
+// rounds, DijkstraCSRInto) rely on it; the swap heap is kept in this
+// package's tests as the reference.
 type Heap struct {
-	heap []int   // heap[i] = item at heap position i
-	pos  []int   // pos[item] = heap position, or -1 if absent
-	key  []int64 // key[item] = current priority
+	heap []entry // heap[i] = entry at heap position i; cap = item universe
+	pos  []int32 // pos[item] = heap position, or -1 if absent
 }
 
 // New returns a heap able to hold items 0..n-1.
 func New(n int) *Heap {
-	h := &Heap{
-		//lint:allow contracts construction: runs once per workspace, buffers reused across every run
-		heap: make([]int, 0, n),
-		//lint:allow contracts construction: runs once per workspace, buffers reused across every run
-		pos: make([]int, n),
-		//lint:allow contracts construction: runs once per workspace, buffers reused across every run
-		key: make([]int64, n),
-	}
-	for i := range h.pos {
-		h.pos[i] = -1
-	}
+	h := &Heap{}
+	h.Grow(n)
 	return h
 }
 
@@ -33,110 +40,128 @@ func (h *Heap) Len() int { return len(h.heap) }
 // Contains reports whether item is queued.
 func (h *Heap) Contains(item int) bool { return h.pos[item] >= 0 }
 
-// Key returns item's current priority; valid only if Contains(item) or the
-// item was previously pushed (keys persist after Pop).
-func (h *Heap) Key(item int) int64 { return h.key[item] }
-
 // Push inserts item with the given key, or decreases/updates its key if it
-// is already queued. Increasing an existing key is also supported (sift
-// both directions), though Dijkstra never needs it.
+// is already queued. Increasing an existing key is also supported (it sifts
+// down), though Dijkstra never needs it.
 func (h *Heap) Push(item int, key int64) {
-	if h.pos[item] >= 0 {
-		h.key[item] = key
-		h.up(h.pos[item])
-		h.down(h.pos[item])
+	e := entry{key: key, item: int32(item)}
+	if i := int(h.pos[item]); i >= 0 {
+		// A smaller key can only move up and a larger or equal one only
+		// down, so the one sift that can move it is the only one run.
+		if key < h.heap[i].key {
+			h.up(i, e)
+		} else {
+			h.down(i, e)
+		}
 		return
 	}
-	h.key[item] = key
-	//lint:allow contracts amortized: New/Grow precap the buffer to the item universe, so append stays in place
-	h.heap = append(h.heap, item)
-	h.pos[item] = len(h.heap) - 1
-	h.up(len(h.heap) - 1)
+	// New and Grow size the array's capacity to the item universe, and an
+	// item is queued at most once, so the slot is always within capacity.
+	i := len(h.heap)
+	h.heap = h.heap[:i+1]
+	h.up(i, e)
 }
 
 // Pop removes and returns the item with minimum key. It panics on an empty
 // heap.
 func (h *Heap) Pop() (item int, key int64) {
-	item = h.heap[0]
-	key = h.key[item]
+	top := h.heap[0]
 	last := len(h.heap) - 1
-	h.swap(0, last)
+	e := h.heap[last]
 	h.heap = h.heap[:last]
-	h.pos[item] = -1
+	h.pos[top.item] = -1
 	if last > 0 {
-		h.down(0)
+		h.down(0, e)
 	}
-	return item, key
+	return int(top.item), top.key
 }
 
 // Reset empties the heap for reuse without reallocating.
 func (h *Heap) Reset() {
-	for _, item := range h.heap {
-		h.pos[item] = -1
+	for _, e := range h.heap {
+		h.pos[e.item] = -1
 	}
 	h.heap = h.heap[:0]
 }
 
-// Grow ensures the heap can hold items 0..n-1, reallocating the index
-// arrays only when n exceeds the current capacity. Queued items survive a
-// growing call; workspace reuse across graphs of different sizes depends on
-// this (callers Reset between uses, Grow only when the universe expands).
+// Grow ensures the heap can hold items 0..n-1, reallocating the position
+// and entry arrays only when n exceeds the current universe. Queued items
+// survive a growing call; workspace reuse across graphs of different sizes
+// depends on this (callers Reset between uses, Grow only when the universe
+// expands).
 func (h *Heap) Grow(n int) {
 	if n <= len(h.pos) {
 		return
 	}
+	if n > math.MaxInt32 {
+		//lint:allow nopanic caller contract: positions are int32, and a universe this large could not be allocated anyway
+		panic("pq: item universe exceeds the int32 position range")
+	}
 	//lint:allow contracts amortized: reallocates only when the item universe expands
-	pos := make([]int, n)
-	//lint:allow contracts amortized: reallocates only when the item universe expands
-	key := make([]int64, n)
+	pos := make([]int32, n)
 	copy(pos, h.pos)
-	copy(key, h.key)
 	for i := len(h.pos); i < n; i++ {
 		pos[i] = -1
 	}
+	//lint:allow contracts amortized: reallocates only when the item universe expands; Push then never appends past it
+	heap := make([]entry, len(h.heap), n)
+	copy(heap, h.heap)
 	h.pos = pos
-	h.key = key
+	h.heap = heap
 }
 
 // Cap reports the size of the item universe the heap currently supports.
 func (h *Heap) Cap() int { return len(h.pos) }
 
-func (h *Heap) less(i, j int) bool { return h.key[h.heap[i]] < h.key[h.heap[j]] }
-
-func (h *Heap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = i
-	h.pos[h.heap[j]] = j
-}
-
+// up sifts e toward the root from the hole at i and stores it where it
+// stops: each parent with a strictly larger key moves down into the hole.
+//
 //krsp:terminates(i moves strictly toward the heap root each pass)
-func (h *Heap) up(i int) {
+func (h *Heap) up(i int, e entry) {
+	hp, pos := h.heap, h.pos
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.less(i, p) {
+		pe := hp[p]
+		if !(e.key < pe.key) {
 			break
 		}
-		h.swap(i, p)
+		hp[i] = pe
+		pos[pe.item] = int32(i)
 		i = p
 	}
+	hp[i] = e
+	pos[e.item] = int32(i)
 }
 
+// down sifts e toward the leaves from the hole at i and stores it where it
+// stops: the smaller child (the left one on a tie) moves up into the hole
+// while its key is strictly below e's.
+//
 //krsp:terminates(i strictly descends a heap of ≤ n entries)
-func (h *Heap) down(i int) {
-	n := len(h.heap)
+func (h *Heap) down(i int, e entry) {
+	hp, pos := h.heap, h.pos
+	n := len(hp)
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
+		l := 2*i + 1
+		if l >= n || l < 0 {
+			break
 		}
-		if r < n && h.less(r, small) {
-			small = r
+		small, se := i, e
+		if c := hp[l]; c.key < se.key {
+			small, se = l, c
+		}
+		if r := l + 1; r < n {
+			if c := hp[r]; c.key < se.key {
+				small, se = r, c
+			}
 		}
 		if small == i {
-			return
+			break
 		}
-		h.swap(i, small)
+		hp[i] = se
+		pos[se.item] = int32(i)
 		i = small
 	}
+	hp[i] = e
+	pos[e.item] = int32(i)
 }

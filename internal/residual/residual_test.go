@@ -129,7 +129,7 @@ func TestProposition7_ApplyPreservesKDisjointFlow(t *testing.T) {
 		if flow.MaxDisjointPaths(g, s, tt) < k {
 			return true // skip
 		}
-		fl, err := flow.MinCostKFlow(g, s, tt, k, shortest.CostWeight)
+		fl, err := flow.MinCostKFlow(g, s, tt, k, shortest.LinCost)
 		if err != nil {
 			return false
 		}
@@ -179,8 +179,8 @@ func TestProposition8_SolutionCycles(t *testing.T) {
 			return true
 		}
 		// Two different k-flows: min-cost and min-delay.
-		f1, err1 := flow.MinCostKFlow(g, s, tt, k, shortest.CostWeight)
-		f2, err2 := flow.MinCostKFlow(g, s, tt, k, shortest.DelayWeight)
+		f1, err1 := flow.MinCostKFlow(g, s, tt, k, shortest.LinCost)
+		f2, err2 := flow.MinCostKFlow(g, s, tt, k, shortest.LinDelay)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -231,8 +231,8 @@ func TestLemma9_NegativeDelayCycleExists(t *testing.T) {
 		if flow.MaxDisjointPaths(g, s, tt) < k {
 			return true
 		}
-		fc, _ := flow.MinCostKFlow(g, s, tt, k, shortest.CostWeight)
-		fd, _ := flow.MinCostKFlow(g, s, tt, k, shortest.DelayWeight)
+		fc, _ := flow.MinCostKFlow(g, s, tt, k, shortest.LinCost)
+		fd, _ := flow.MinCostKFlow(g, s, tt, k, shortest.LinDelay)
 		if fc.Delay(g) <= fd.Delay(g) {
 			return true // current solution already delay-minimal, skip
 		}

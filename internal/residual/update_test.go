@@ -69,8 +69,8 @@ func diffUpdate(t *testing.T, ins graph.Instance, k int) bool {
 	if flow.MaxDisjointPaths(g, ins.S, ins.T) < k {
 		return false
 	}
-	f1, err1 := flow.MinCostKFlow(g, ins.S, ins.T, k, shortest.CostWeight)
-	f2, err2 := flow.MinCostKFlow(g, ins.S, ins.T, k, shortest.DelayWeight)
+	f1, err1 := flow.MinCostKFlow(g, ins.S, ins.T, k, shortest.LinCost)
+	f2, err2 := flow.MinCostKFlow(g, ins.S, ins.T, k, shortest.LinDelay)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("%s: flows failed: %v %v", ins.Name, err1, err2)
 	}
@@ -135,7 +135,7 @@ func TestUpdateRejectsBadCyclesUntouched(t *testing.T) {
 	if flow.MaxDisjointPaths(g, ins.S, ins.T) < k {
 		t.Skip("instance infeasible for k=2")
 	}
-	f1, err := flow.MinCostKFlow(g, ins.S, ins.T, k, shortest.CostWeight)
+	f1, err := flow.MinCostKFlow(g, ins.S, ins.T, k, shortest.LinCost)
 	if err != nil {
 		t.Fatal(err)
 	}

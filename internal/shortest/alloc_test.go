@@ -1,6 +1,7 @@
 package shortest_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -73,5 +74,38 @@ func TestSPFAAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(5, func() { tc.run() }); got != want {
 			t.Fatalf("%s: %v allocs/run, want %v", tc.name, got, want)
 		}
+	}
+}
+
+// TestDijkstraGrownWorkspaceAllocs is the runtime witness behind the
+// heap's "New/Grow precap" waiver under DijkstraCSRInto's noalloc contract:
+// a workspace created small and grown to N≈5k must serve its first
+// Dijkstra without allocating. The count is taken around that single call
+// with runtime.ReadMemStats, because testing.AllocsPerRun's warm-up run
+// would absorb any first-call growth. Mallocs is process-wide, so a
+// goroutine left over from another test can add to one reading; the
+// witness takes the least of three fresh workspaces, while a kernel that
+// allocates does so on every first call.
+func TestDijkstraGrownWorkspaceAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("N≈5k allocation witness: skipped under -short")
+	}
+	ins := gen.LayeredGrid(7, 50, 100, gen.DefaultWeights())
+	c := graph.NewCSR(ins.G)
+	least := ^uint64(0)
+	for attempt := 0; attempt < 3; attempt++ {
+		ws := shortest.NewWorkspace(4)
+		ws.Grow(c.NumNodes())
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		tree := shortest.DijkstraCSRInto(ws, c, ins.S, shortest.LinDelay)
+		runtime.ReadMemStats(&after)
+		if tree.Dist[ins.T] == shortest.Inf {
+			t.Fatal("t unreachable: the witness searched nothing")
+		}
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least != 0 {
+		t.Fatalf("first DijkstraCSRInto on a grown workspace: %d allocations, want 0", least)
 	}
 }
