@@ -78,11 +78,11 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
-# One-shot N=5k smoke of the large tier: phase-1 classic vs scaled plus the
-# end-to-end solve. The full N=5k/20k/50k sweep is
-#   go test -run '^$$' -bench 'Phase1(Classic|Scaled)N|SolveLargeN' -benchmem .
+# One-shot N=5k smoke of the large tier: phase 1 alone plus the end-to-end
+# solve. The full sweep (phase 1 at N=5k/20k/50k, the solve at N=5k) is
+#   go test -run '^$$' -bench 'Phase1ClassicN|SolveLargeN' -benchmem .
 bench-large:
-	$(GO) test -run '^$$' -bench 'Phase1ClassicN5k|Phase1ScaledN5k|SolveLargeN5k' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'Phase1ClassicN5k|SolveLargeN5k' -benchtime 1x .
 
 # Snapshot numbers on disk, highest last (numeric: BENCH_10 sorts after
 # BENCH_9).
@@ -99,13 +99,14 @@ BENCH_BASELINE := $(if $(BENCH_LAST),BENCH_$(BENCH_LAST).json)
 
 # Zero-alloc contracts: core.Solve with Options.Metrics unset must not
 # allocate above the newest baseline, SolveCtx with a live Canceller must
-# match it, the fingerprint+cache miss path must add nothing on top, the
-# CSR phase-1 kernels must hold their alloc counts flat, and decoding an
-# N=5k instance must not return to per-line allocation. -baseline prints
-# the full ns/B/allocs delta table and fails on any allocs/op regression or
-# on a B/op rise of more than 5%.
+# match it, the fingerprint+cache miss path must add nothing on top, phase 1
+# and the full solve at N=5k must hold their alloc counts flat, and
+# decoding an N=5k instance must not return to per-line allocation.
+# -baseline prints the full ns/B/allocs delta table and fails on any
+# allocs/op regression, on a B/op rise of more than 5%, or on a listed row
+# the baseline lacks.
 bench-guard:
-	$(GO) run ./cmd/krspbench -run SolveN60K3,SolveCtxN60K3,SolveN60K3CacheMiss,Phase1ClassicN5k,Phase1ScaledN5k,DecodeN5k -baseline $(BENCH_BASELINE)
+	$(GO) run ./cmd/krspbench -run SolveN60K3,SolveCtxN60K3,SolveN60K3CacheMiss,Phase1ClassicN5k,SolveLargeN5k,DecodeN5k -baseline $(BENCH_BASELINE)
 
 # Flight-recorder round trip (DESIGN.md §13): generate an instance, solve
 # it with the recorder armed (krsp -flight), and render the dump with

@@ -13,9 +13,9 @@ import (
 
 // --- large-instance tier (N = 5k .. 50k) --------------------------------
 //
-// These rows exist to measure the CSR core and the scaled phase-1 kernel at
-// the scale they were built for; they are skipped under -short so the
-// regular test sweep stays fast. `make bench-large` runs the full tier,
+// These rows exist to measure the CSR core and phase 1 at the scale they
+// were built for; they are skipped under -short so the regular test sweep
+// stays fast. `make bench-large` runs the full tier,
 // `make check` runs the N=5k smoke.
 
 // largeInstance builds a layered-grid instance with ≈ n vertices and Θ(n)
@@ -56,37 +56,14 @@ func benchPhase1Classic(b *testing.B, n, k int) {
 	}
 }
 
-func benchPhase1Scaled(b *testing.B, n, k int) {
-	if testing.Short() {
-		b.Skip("large tier: skipped under -short")
-	}
-	ins := largeInstance(b, n, k)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Phase1Scaled(ins, core.DefaultPhase1Eps); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPhase1ClassicN5k(b *testing.B)  { benchPhase1Classic(b, 5_000, 3) }
-func BenchmarkPhase1ScaledN5k(b *testing.B)   { benchPhase1Scaled(b, 5_000, 3) }
 func BenchmarkPhase1ClassicN20k(b *testing.B) { benchPhase1Classic(b, 20_000, 3) }
-func BenchmarkPhase1ScaledN20k(b *testing.B)  { benchPhase1Scaled(b, 20_000, 3) }
 func BenchmarkPhase1ClassicN50k(b *testing.B) { benchPhase1Classic(b, 50_000, 3) }
-func BenchmarkPhase1ScaledN50k(b *testing.B)  { benchPhase1Scaled(b, 50_000, 3) }
 
 // BenchmarkSolveLargeN5k runs the full production pipeline (core.Options{}:
-// the default phase-1 kernel plus the cancellation loop) at the 5k tier —
-// the end-to-end row behind the "N=60 → N=5k+" claim, not just the phase-1
-// kernel.
-func BenchmarkSolveLargeN5k(b *testing.B) { benchSolveLarge(b, 5_000, 3, core.Options{}) }
-
-// BenchmarkSolveLargeN5kScaled is BenchmarkSolveLargeN5k with the scaled
-// phase-1 kernel, for comparison against the production default.
-func BenchmarkSolveLargeN5kScaled(b *testing.B) {
-	benchSolveLarge(b, 5_000, 3, core.Options{Phase1Kernel: "scaled"})
-}
+// phase 1 plus the cancellation loop) at the 5k tier — the end-to-end row
+// behind the "N=60 → N=5k+" claim, not just phase 1.
+func BenchmarkSolveLargeN5k(b *testing.B) { benchSolveLarge(b, 5_000, 3) }
 
 // BenchmarkDecodeN5k is krspd's decode layer on an N=5k body, the work a
 // cache hit does before it fingerprints: graph.ReadInstance plus Validate.
@@ -112,14 +89,14 @@ func BenchmarkDecodeN5k(b *testing.B) {
 	}
 }
 
-func benchSolveLarge(b *testing.B, n, k int, opts core.Options) {
+func benchSolveLarge(b *testing.B, n, k int) {
 	if testing.Short() {
 		b.Skip("large tier: skipped under -short")
 	}
 	ins := largeInstance(b, n, k)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Solve(ins, opts); err != nil {
+		if _, err := core.Solve(ins, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

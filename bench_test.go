@@ -190,26 +190,6 @@ func BenchmarkRSPExactDP(b *testing.B) {
 	}
 }
 
-func BenchmarkRSPFPTAS(b *testing.B) {
-	ins := benchInstance(b, 40, 1, 1.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rsp.FPTAS(ins.G, ins.S, ins.T, ins.Bound, 0.25); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkRSPLARAC(b *testing.B) {
-	ins := benchInstance(b, 40, 1, 1.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rsp.LARAC(ins.G, ins.S, ins.T, ins.Bound); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBicameralFind(b *testing.B) {
 	ins := benchInstance(b, 30, 2, 1.2)
 	f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.LinCost)

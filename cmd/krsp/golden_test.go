@@ -72,7 +72,8 @@ var goldenCases = []goldenCase{
 }
 
 // TestGoldenTranscripts pins the full `krsp -stats` transcript of every
-// bicameral engine on a fixed-seed instance set across all five generator
+// bicameral engine, of phase 1 alone, of Theorem 4's scaled solve and of the
+// greedy baseline on a fixed-seed instance set across all five generator
 // topologies, byte for byte. Refactors below the CLI must leave these files
 // untouched; when an output change is intended, replace a golden file with
 // the transcript the failure prints.
@@ -96,6 +97,18 @@ func TestGoldenTranscripts(t *testing.T) {
 				if _, err := run([]string{"-engine", engine, "-stats", path}, &got); err != nil {
 					t.Fatalf("engine %s: %v", engine, err)
 				}
+			}
+			for _, algo := range []string{"phase1", "scaled"} {
+				fmt.Fprintf(&got, "== algo %s\n", algo)
+				if _, err := run([]string{"-algo", algo, "-stats", path}, &got); err != nil {
+					t.Fatalf("algo %s: %v", algo, err)
+				}
+			}
+			// Greedy may find no path within the bound once earlier paths
+			// are removed; that verdict is part of the transcript.
+			fmt.Fprintln(&got, "== algo greedy")
+			if _, err := run([]string{"-algo", "greedy", path}, &got); err != nil {
+				fmt.Fprintf(&got, "error: %v\n", err)
 			}
 			golden := filepath.Join("testdata", tc.name()+".golden")
 			want, err := os.ReadFile(golden)

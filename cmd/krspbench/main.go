@@ -15,6 +15,9 @@
 //	krspbench -baseline BENCH_1.json# per-benchmark delta table (ns/op, B/op,
 //	                                # allocs/op vs the baseline), failing on
 //	                                # the same regressions as -guard
+//
+// Under -run, a selected row the -guard or -baseline report lacks is an
+// error too, so a renamed or newly listed guard row cannot pass unchecked.
 package main
 
 import (
@@ -117,8 +120,10 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%-28s %12.0f ns/op %10d allocs/op %12d B/op\n",
 			rec.Name, rec.NsPerOp, rec.AllocsPerOp, rec.BytesPerOp)
 	}
+	// Rows picked by -run were asked for by name: each must have a baseline.
+	strict := len(wanted) > 0
 	if *basePath != "" {
-		if err := diffBaseline(out, *basePath, rep.Benchmarks); err != nil {
+		if err := diffBaseline(out, *basePath, rep.Benchmarks, strict); err != nil {
 			return err
 		}
 		if !outSet {
@@ -126,7 +131,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	if *guardPath != "" {
-		if err := guard(out, *guardPath, rep.Benchmarks); err != nil {
+		if err := guard(out, *guardPath, rep.Benchmarks, strict); err != nil {
 			return err
 		}
 		if !outSet {
@@ -183,23 +188,36 @@ func readBaseline(path string) (map[string]record, error) {
 	return baseline, nil
 }
 
+// unbaselined fails a strict run (one filtered by -run) that measured rows
+// the baseline lacks; a full-suite run only reports them.
+func unbaselined(path string, names []string, strict bool) error {
+	if !strict || len(names) == 0 {
+		return nil
+	}
+	return fmt.Errorf("rows selected by -run have no baseline in %s: %s", path, strings.Join(names, ", "))
+}
+
 // guard compares every benchmark present in both the current run and the
-// baseline report, and fails on any regression (see regressions). allocs/op
-// and B/op are the guarded quantities because they are deterministic, or
-// nearly so, unlike ns/op: the zero-alloc observability contract says
-// core.Solve with Options.Metrics unset must not allocate more than the
-// pre-instrumentation baseline, in count or in bytes.
-func guard(out io.Writer, path string, current []record) error {
+// baseline report, and fails on any regression (see regressions), or, when
+// strict, on a row the baseline lacks. allocs/op and B/op are the guarded
+// quantities because they are deterministic, or nearly so, unlike ns/op:
+// the zero-alloc observability contract says core.Solve with
+// Options.Metrics unset must not allocate more than the pre-instrumentation
+// baseline, in count or in bytes.
+func guard(out io.Writer, path string, current []record, strict bool) error {
 	baseline, err := readBaseline(path)
 	if err != nil {
 		return err
 	}
 	compared := 0
-	var regressed []string
+	var regressed, missing []string
 	for _, r := range current {
 		b, ok := baseline[r.Name]
 		if !ok {
-			fmt.Fprintf(out, "guard: %-22s no baseline, skipped\n", r.Name)
+			missing = append(missing, r.Name)
+			if !strict {
+				fmt.Fprintf(out, "guard: %-22s no baseline, skipped\n", r.Name)
+			}
 			continue
 		}
 		compared++
@@ -209,6 +227,9 @@ func guard(out io.Writer, path string, current []record) error {
 			fmt.Fprintf(out, "guard: %-22s %d allocs/op ≤ baseline %d, %d B/op within %d%% of baseline %d\n",
 				r.Name, r.AllocsPerOp, b.AllocsPerOp, r.BytesPerOp, bytesTolerancePct, b.BytesPerOp)
 		}
+	}
+	if err := unbaselined(path, missing, strict); err != nil {
+		return fmt.Errorf("guard: %w", err)
 	}
 	if compared == 0 {
 		return fmt.Errorf("guard: no benchmark in common with %s (check -run filter)", path)
@@ -220,9 +241,10 @@ func guard(out io.Writer, path string, current []record) error {
 }
 
 // diffBaseline prints a per-benchmark delta table against a previous report
-// and, like guard, fails on any allocs/op or B/op regression. ns/op deltas
-// are informational (they are machine- and load-dependent).
-func diffBaseline(out io.Writer, path string, current []record) error {
+// and, like guard, fails on any allocs/op or B/op regression and, when
+// strict, on a row the baseline lacks. ns/op deltas are informational (they
+// are machine- and load-dependent).
+func diffBaseline(out io.Writer, path string, current []record, strict bool) error {
 	baseline, err := readBaseline(path)
 	if err != nil {
 		return err
@@ -237,12 +259,13 @@ func diffBaseline(out io.Writer, path string, current []record) error {
 	fmt.Fprintf(out, "%-24s %14s %9s %12s %9s %12s %6s\n",
 		"benchmark", "ns/op", "Δ", "B/op", "Δ", "allocs/op", "Δ")
 	compared := 0
-	var regressed []string
+	var regressed, missing []string
 	for _, r := range current {
 		b, ok := baseline[r.Name]
 		if !ok {
 			fmt.Fprintf(out, "%-24s %14.0f %9s %12d %9s %12d %6s  (new)\n",
 				r.Name, r.NsPerOp, "", r.BytesPerOp, "", r.AllocsPerOp, "")
+			missing = append(missing, r.Name)
 			continue
 		}
 		compared++
@@ -251,6 +274,9 @@ func diffBaseline(out io.Writer, path string, current []record) error {
 			r.BytesPerOp, pct(float64(r.BytesPerOp), float64(b.BytesPerOp)),
 			r.AllocsPerOp, r.AllocsPerOp-b.AllocsPerOp)
 		regressed = append(regressed, regressions(r, b)...)
+	}
+	if err := unbaselined(path, missing, strict); err != nil {
+		return fmt.Errorf("baseline: %w", err)
 	}
 	if compared == 0 {
 		return fmt.Errorf("baseline: no benchmark in common with %s (check -run filter)", path)
@@ -304,18 +330,12 @@ func largeInstance(n, k int) graph.Instance {
 	return ins
 }
 
-func phase1Row(n, k int, scaled bool) func(b *testing.B) {
+func phase1Row(n, k int) func(b *testing.B) {
 	return func(b *testing.B) {
 		ins := largeInstance(n, k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			var err error
-			if scaled {
-				_, err = core.Phase1Scaled(ins, core.DefaultPhase1Eps)
-			} else {
-				_, err = core.Phase1(ins)
-			}
-			if err != nil {
+			if _, err := core.Phase1(ins); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -493,15 +513,21 @@ func suite() []bench {
 				}
 			}
 		}},
-		// Large tier: classic vs scaled phase-1 kernel on the same instance.
-		// The scaled/classic ns/op ratio at each size is the headline claim
-		// of the CSR + scaled-kernel work (≥2× at N ≥ 5k, allocs/op flat).
-		{"Phase1ClassicN5k", phase1Row(5_000, 3, false)},
-		{"Phase1ScaledN5k", phase1Row(5_000, 3, true)},
-		{"Phase1ClassicN20k", phase1Row(20_000, 3, false)},
-		{"Phase1ScaledN20k", phase1Row(20_000, 3, true)},
-		{"Phase1ClassicN50k", phase1Row(50_000, 3, false)},
-		{"Phase1ScaledN50k", phase1Row(50_000, 3, true)},
+		// Large tier: phase 1 alone at N = 5k, 20k and 50k (the Phase1Classic
+		// names line up with the older snapshots' rows), and the full solve
+		// at N = 5k, the twin of BenchmarkSolveLargeN5k.
+		{"Phase1ClassicN5k", phase1Row(5_000, 3)},
+		{"Phase1ClassicN20k", phase1Row(20_000, 3)},
+		{"Phase1ClassicN50k", phase1Row(50_000, 3)},
+		{"SolveLargeN5k", func(b *testing.B) {
+			ins := largeInstance(5_000, 3)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Solve(ins, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
 	}
 }
 

@@ -34,7 +34,7 @@ func TestGuardPasses(t *testing.T) {
 		{Name: "BicameralFind", AllocsPerOp: 18}, // improvements are fine
 		{Name: "Unlisted", AllocsPerOp: 9999},    // not in baseline: skipped
 	}
-	if err := guard(&out, path, current); err != nil {
+	if err := guard(&out, path, current, false); err != nil {
 		t.Fatalf("guard failed: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "Unlisted") || !strings.Contains(out.String(), "skipped") {
@@ -45,7 +45,7 @@ func TestGuardPasses(t *testing.T) {
 func TestGuardFailsOnRegression(t *testing.T) {
 	path := writeBaseline(t, baselineJSON)
 	var out bytes.Buffer
-	err := guard(&out, path, []record{{Name: "SolveN60K3", AllocsPerOp: 230}})
+	err := guard(&out, path, []record{{Name: "SolveN60K3", AllocsPerOp: 230}}, false)
 	if err == nil {
 		t.Fatal("regression not caught")
 	}
@@ -59,21 +59,49 @@ func TestGuardFailsOnRegression(t *testing.T) {
 // -baseline diff alike.
 func TestGuardBytesRule(t *testing.T) {
 	path := writeBaseline(t, baselineFullJSON)
-	within := []record{{Name: "Phase1ScaledN5k", AllocsPerOp: 270, BytesPerOp: 2310000}} // +5.0%
-	beyond := []record{{Name: "Phase1ScaledN5k", AllocsPerOp: 270, BytesPerOp: 2310001}}
-	for name, check := range map[string]func(io.Writer, string, []record) error{
+	within := []record{{Name: "Phase1ClassicN5k", AllocsPerOp: 270, BytesPerOp: 2310000}} // +5.0%
+	beyond := []record{{Name: "Phase1ClassicN5k", AllocsPerOp: 270, BytesPerOp: 2310001}}
+	for name, check := range map[string]func(io.Writer, string, []record, bool) error{
 		"guard": guard, "baseline": diffBaseline,
 	} {
 		var out bytes.Buffer
-		if err := check(&out, path, within); err != nil {
+		if err := check(&out, path, within, false); err != nil {
 			t.Fatalf("%s: +5%% B/op rejected: %v\n%s", name, err, out.String())
 		}
-		err := check(&out, path, beyond)
+		err := check(&out, path, beyond, false)
 		if err == nil {
 			t.Fatalf("%s: B/op regression past 5%% not caught\n%s", name, out.String())
 		}
-		if !strings.Contains(err.Error(), "Phase1ScaledN5k: 2310001 B/op > baseline 2200000 + 5%") {
+		if !strings.Contains(err.Error(), "Phase1ClassicN5k: 2310001 B/op > baseline 2200000 + 5%") {
 			t.Fatalf("%s: error: %v", name, err)
+		}
+	}
+}
+
+// TestStrictRowWithoutBaselineFails: a row that -run selects but the
+// baseline lacks (a renamed or newly listed guard row) fails guard and the
+// -baseline diff alike, naming the row, even beside a row that passes;
+// without -run the same row is only reported.
+func TestStrictRowWithoutBaselineFails(t *testing.T) {
+	path := writeBaseline(t, baselineFullJSON)
+	current := []record{
+		{Name: "SolveN60K3", NsPerOp: 900000, AllocsPerOp: 229, BytesPerOp: 200000},
+		{Name: "SolveLargeN5k", NsPerOp: 37000000, AllocsPerOp: 506, BytesPerOp: 2030000},
+	}
+	for name, check := range map[string]func(io.Writer, string, []record, bool) error{
+		"guard": guard, "baseline": diffBaseline,
+	} {
+		var out bytes.Buffer
+		if err := check(&out, path, current, false); err != nil {
+			t.Fatalf("%s: full-suite run failed on an unbaselined row: %v\n%s", name, err, out.String())
+		}
+		out.Reset()
+		err := check(&out, path, current, true)
+		if err == nil {
+			t.Fatalf("%s: -run row without a baseline passed\n%s", name, out.String())
+		}
+		if !strings.Contains(err.Error(), "SolveLargeN5k") || strings.Contains(err.Error(), "SolveN60K3") {
+			t.Fatalf("%s: error should name only the unbaselined row: %v", name, err)
 		}
 	}
 }
@@ -81,7 +109,7 @@ func TestGuardBytesRule(t *testing.T) {
 func TestGuardFailsOnEmptyIntersection(t *testing.T) {
 	path := writeBaseline(t, baselineJSON)
 	var out bytes.Buffer
-	if err := guard(&out, path, []record{{Name: "Nope", AllocsPerOp: 1}}); err == nil {
+	if err := guard(&out, path, []record{{Name: "Nope", AllocsPerOp: 1}}, false); err == nil {
 		t.Fatal("empty intersection accepted")
 	}
 }
@@ -90,7 +118,7 @@ const baselineFullJSON = `{
   "schema": "krspbench/1",
   "benchmarks": [
     {"name": "SolveN60K3", "ns_per_op": 900000, "allocs_per_op": 229, "bytes_per_op": 200000},
-    {"name": "Phase1ScaledN5k", "ns_per_op": 16000000, "allocs_per_op": 270, "bytes_per_op": 2200000}
+    {"name": "Phase1ClassicN5k", "ns_per_op": 16000000, "allocs_per_op": 270, "bytes_per_op": 2200000}
   ]
 }`
 
@@ -99,10 +127,10 @@ func TestBaselineDeltaTable(t *testing.T) {
 	var out bytes.Buffer
 	current := []record{
 		{Name: "SolveN60K3", NsPerOp: 450000, AllocsPerOp: 173, BytesPerOp: 150000},
-		{Name: "Phase1ScaledN5k", NsPerOp: 15000000, AllocsPerOp: 270, BytesPerOp: 2200000},
+		{Name: "Phase1ClassicN5k", NsPerOp: 15000000, AllocsPerOp: 270, BytesPerOp: 2200000},
 		{Name: "BrandNewRow", NsPerOp: 10, AllocsPerOp: 1, BytesPerOp: 8},
 	}
-	if err := diffBaseline(&out, path, current); err != nil {
+	if err := diffBaseline(&out, path, current, false); err != nil {
 		t.Fatalf("diffBaseline failed: %v\n%s", err, out.String())
 	}
 	text := out.String()
@@ -124,7 +152,7 @@ func TestBaselineFailsOnAllocRegression(t *testing.T) {
 	var out bytes.Buffer
 	err := diffBaseline(&out, path, []record{
 		{Name: "SolveN60K3", NsPerOp: 400000, AllocsPerOp: 230, BytesPerOp: 150000},
-	})
+	}, false)
 	if err == nil {
 		t.Fatal("alloc regression not caught")
 	}
@@ -140,18 +168,18 @@ func TestBaselineFailsOnAllocRegression(t *testing.T) {
 func TestBaselineFailsOnEmptyIntersection(t *testing.T) {
 	path := writeBaseline(t, baselineFullJSON)
 	var out bytes.Buffer
-	if err := diffBaseline(&out, path, []record{{Name: "Nope"}}); err == nil {
+	if err := diffBaseline(&out, path, []record{{Name: "Nope"}}, false); err == nil {
 		t.Fatal("empty intersection accepted")
 	}
 }
 
 func TestGuardFailsOnMissingOrBadBaseline(t *testing.T) {
 	var out bytes.Buffer
-	if err := guard(&out, "/nonexistent.json", nil); err == nil {
+	if err := guard(&out, "/nonexistent.json", nil, false); err == nil {
 		t.Fatal("missing baseline accepted")
 	}
 	path := writeBaseline(t, "not json")
-	if err := guard(&out, path, nil); err == nil {
+	if err := guard(&out, path, nil, false); err == nil {
 		t.Fatal("malformed baseline accepted")
 	}
 }

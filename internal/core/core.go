@@ -126,17 +126,6 @@ type Options struct {
 	// Phase1Only stops after the first phase, returning the better of the
 	// two Lagrangian endpoint flows — the (2,2)-style baseline of [9].
 	Phase1Only bool
-	// Phase1Kernel selects the first-phase implementation: "classic" (the
-	// default; exact λ* search, bit-identical output across releases) or
-	// "scaled" (interval-restricted relaxation after Ashvinkumar–Bernstein–
-	// Karczmarz: target-stopped augmentation Dijkstras plus an ε duality-gap
-	// early exit from the λ search). The scaled kernel keeps feasibility
-	// verdicts exact and reports a lower bound within (1+ε) of C_LP, at a
-	// ≥2× phase-1 speedup on N ≥ 5k instances. Unknown names error.
-	Phase1Kernel string
-	// Phase1Eps is the scaled kernel's duality-gap tolerance ε (default
-	// 0.125; must be positive when set). Ignored by the classic kernel.
-	Phase1Eps float64
 	// DisableCostCap removes Definition 10's |c(O)| ≤ C_OPT constraint —
 	// the Figure 1 pathology switch (experiment E3). Never use it for real
 	// solving.
@@ -228,22 +217,21 @@ func CheckFeasible(ins graph.Instance) (Feasibility, error) {
 const probeLimit = 1 << 60
 
 // checkProbe returns an ErrWeightsTooLarge error unless
-// W = lw.Q·sumCost + lw.P·sumDelay ≤ 2^60, computed without wrapping. Both
-// phase-1 kernels call it before every min-cost-flow call, with the graph's
-// total cost and delay and the probe's nonnegative weighting.
+// W = lw.Q·sumCost + lw.P·sumDelay ≤ 2^60, computed without wrapping.
+// Phase 1 calls it before every min-cost-flow call, with the graph's total
+// cost and delay and the probe's nonnegative weighting.
 //
 // W ≤ 2^60 keeps every int64 the probe computes within ±3·2^60, inside
 // int64. Each edge weight is at most W, and a flow weight or a simple
 // residual path length, a signed sum over distinct edges, lies in [−W, W].
-// Potentials start as Dijkstra distances in [0, W] and never decrease; a
-// full update sets each finite one to a residual distance (at most W), and
-// a capped update raises it by the round's reduced s→t distance, which
-// telescopes to at most W over all rounds, so every finite potential lies
-// in [0, 2W]. A reduced weight ±w + pot[u] − pot[v] and its partial sum
-// then lie in [−3W, 3W], and a tentative distance du + rw is a simple
-// residual path's length minus a potential, in [−3W, W]. Finally
-// p·D ≤ p·Σdelay ≤ W, because the λ search runs only when the min-cost
-// flow's delay, at most Σdelay, exceeds D; so wf − p·D lies in [−W, W].
+// Potentials start as Dijkstra distances in [0, W] and never decrease; each
+// update pot[v] += dist[v] sets a finite potential to v's residual distance
+// from s, a simple residual path's length, so every finite potential lies
+// in [0, W]. A reduced weight ±w + pot[u] − pot[v] and its partial sum then
+// lie in [−2W, 2W], and a tentative distance du + rw is a simple residual
+// path's length minus a potential, in [−2W, W]. Finally p·D ≤ p·Σdelay ≤ W,
+// because the λ search runs only when the min-cost flow's delay, at most
+// Σdelay, exceeds D; so wf − p·D lies in [−W, W].
 func checkProbe(sumCost, sumDelay int64, lw shortest.LinWeight) error {
 	hc, wc := bits.Mul64(uint64(lw.Q), uint64(sumCost))
 	hd, wd := bits.Mul64(uint64(lw.P), uint64(sumDelay))

@@ -116,26 +116,6 @@ func TestSolveRecordsTrajectory(t *testing.T) {
 	}
 }
 
-// TestSolveScaledKernelRecordsGap checks the scaled kernel records the same
-// lambda-iter/duality-gap pairs the classic one does.
-func TestSolveScaledKernelRecordsGap(t *testing.T) {
-	r := rec.New(new(obs.ManualClock), 1024)
-	ins := recTradeoff(10)
-	res, err := core.Solve(ins, core.Options{Recorder: r, Phase1Kernel: "scaled"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := eventCounts(r.Events())
-	if counts[rec.KindLambdaIter] != res.Stats.Phase1.LambdaIterations {
-		t.Fatalf("lambda-iter events = %d, want %d",
-			counts[rec.KindLambdaIter], res.Stats.Phase1.LambdaIterations)
-	}
-	if counts[rec.KindDualityGap] != counts[rec.KindLambdaIter] {
-		t.Fatalf("duality-gap events = %d, want %d",
-			counts[rec.KindDualityGap], counts[rec.KindLambdaIter])
-	}
-}
-
 // TestDegradedSolveRecordsDecision arms the cancel fault point so the solve
 // degrades deterministically, and checks the black-box stream carries the
 // fault hit and the degradation decision — the exact events krspd's

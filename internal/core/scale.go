@@ -53,7 +53,7 @@ func solveScaled(ins graph.Instance, eps1, eps2 float64, opt Options, c *cancel.
 	// questions exactly (scaling must not change feasibility verdicts).
 	ps := m.StartSpan(obs.PhasePhase1)
 	r.Record(rec.KindPhaseStart, int64(obs.PhasePhase1), 0, 0, 0)
-	p1, err := phase1Kernel(ins, opt, m.FlowMetrics(), c)
+	p1, err := phase1(ins, m.FlowMetrics(), c, r)
 	ps.End()
 	r.Record(rec.KindPhaseEnd, int64(obs.PhasePhase1), 0, 0, 0)
 	if err != nil {

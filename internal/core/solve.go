@@ -95,7 +95,7 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 	}
 	ps := m.StartSpan(obs.PhasePhase1)
 	r.Record(rec.KindPhaseStart, int64(obs.PhasePhase1), 0, 0, 0)
-	p1, err := phase1Kernel(ins, opt, m.FlowMetrics(), c)
+	p1, err := phase1(ins, m.FlowMetrics(), c, r)
 	ps.End()
 	r.Record(rec.KindPhaseEnd, int64(obs.PhasePhase1), 0, 0, 0)
 	if err != nil {

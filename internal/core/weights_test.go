@@ -30,14 +30,12 @@ func TestPhase1OnlyZeroBound(t *testing.T) {
 	g.AddEdge(0, 1, 1, 1)
 	g.AddEdge(0, 1, 5, 0)
 	ins := graph.Instance{G: g, S: 0, T: 1, K: 1, Bound: 0}
-	for _, kernel := range []string{"classic", "scaled"} {
-		res, err := Solve(ins, Options{Phase1Only: true, Phase1Kernel: kernel})
-		if err != nil {
-			t.Fatalf("%s: %v", kernel, err)
-		}
-		if res.Cost != 5 || res.Delay != 0 {
-			t.Fatalf("%s: cost %d delay %d, want 5 and 0", kernel, res.Cost, res.Delay)
-		}
+	res, err := Solve(ins, Options{Phase1Only: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Cost != 5 || res.Delay != 0 {
+		t.Fatalf("cost %d delay %d, want 5 and 0", res.Cost, res.Delay)
 	}
 }
 
@@ -57,23 +55,21 @@ func TestWeightsTooLargeIsAnError(t *testing.T) {
 			t.Fatalf("test instance must be valid: %v", err)
 		}
 	}
-	for _, kernel := range []string{"classic", "scaled"} {
-		for _, phase1Only := range []bool{false, true} {
-			_, err := Solve(insA, Options{Phase1Only: phase1Only, Phase1Kernel: kernel})
-			if !errors.Is(err, ErrWeightsTooLarge) {
-				t.Fatalf("(a) %s phase1Only=%v: err %v, want ErrWeightsTooLarge", kernel, phase1Only, err)
-			}
+	for _, phase1Only := range []bool{false, true} {
+		_, err := Solve(insA, Options{Phase1Only: phase1Only})
+		if !errors.Is(err, ErrWeightsTooLarge) {
+			t.Fatalf("(a) phase1Only=%v: err %v, want ErrWeightsTooLarge", phase1Only, err)
 		}
-		if _, err := Solve(insB, Options{Phase1Kernel: kernel}); !errors.Is(err, ErrWeightsTooLarge) {
-			t.Fatalf("(b) %s: err %v, want ErrWeightsTooLarge", kernel, err)
-		}
-		res, err := Solve(insB, Options{Phase1Only: true, Phase1Kernel: kernel})
-		if err != nil {
-			t.Fatalf("(b) %s phase1Only: %v", kernel, err)
-		}
-		if res.LowerBound != 2 {
-			t.Fatalf("(b) %s phase1Only: lower bound %d, want ⌈C_LP⌉ = 2", kernel, res.LowerBound)
-		}
+	}
+	if _, err := Solve(insB, Options{}); !errors.Is(err, ErrWeightsTooLarge) {
+		t.Fatalf("(b): err %v, want ErrWeightsTooLarge", err)
+	}
+	res, err := Solve(insB, Options{Phase1Only: true})
+	if err != nil {
+		t.Fatalf("(b) phase1Only: %v", err)
+	}
+	if res.LowerBound != 2 {
+		t.Fatalf("(b) phase1Only: lower bound %d, want ⌈C_LP⌉ = 2", res.LowerBound)
 	}
 	if _, err := Phase1(insA); !errors.Is(err, ErrWeightsTooLarge) {
 		t.Fatalf("(a) Phase1: err %v, want ErrWeightsTooLarge", err)

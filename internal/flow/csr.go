@@ -61,28 +61,11 @@ func NewKFlowSolver(c *graph.CSR) *KFlowSolver {
 
 // MinCostKFlow computes a minimum-weight integral s→t flow of value k under
 // unit capacities over the solver's CSR view, by successive shortest paths
-// with Johnson potentials. Its first and last rounds stop once t settles
-// (see run), so flow.relaxations counts fewer relaxations than a kernel
-// whose every round settles the whole graph; flows, errors and augmentation
-// counts are unaffected.
+// with Johnson potentials. Its first and last rounds stop once t settles,
+// so flow.relaxations counts fewer relaxations than a kernel whose every
+// round settles the whole graph; flows, errors and augmentation counts are
+// unaffected.
 func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWeight, m *obs.FlowMetrics, c *cancel.Canceller) (UnitFlow, error) {
-	return kf.run(s, t, k, lw, m, c, false)
-}
-
-// MinCostKFlowTarget is MinCostKFlow with target-stopped Dijkstra rounds:
-// each augmentation stops as soon as t settles and repairs potentials with
-// pot'[v] = pot[v] + min(dist[v], dist[t]) — the standard early-exit for
-// successive shortest paths, still EXACT (every augmenting path is a true
-// shortest path; reduced weights stay nonnegative under the capped repair).
-// Roughly halves per-round work on large instances. Tie-broken flows may
-// differ from MinCostKFlow's, so only value-level guarantees (optimal
-// weight, feasibility verdicts) are preserved — the scaled phase-1 kernel
-// is its only solve-path caller.
-func (kf *KFlowSolver) MinCostKFlowTarget(s, t graph.NodeID, k int, lw shortest.LinWeight, m *obs.FlowMetrics, c *cancel.Canceller) (UnitFlow, error) {
-	return kf.run(s, t, k, lw, m, c, true)
-}
-
-func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *obs.FlowMetrics, c *cancel.Canceller, targetStop bool) (UnitFlow, error) {
 	if k < 0 {
 		return UnitFlow{}, fmt.Errorf("flow: negative k=%d", k)
 	}
@@ -109,11 +92,10 @@ func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *o
 		// potential update. In round 1 the potentials are the initial
 		// Dijkstra's exact distances over the flow-free residual (which is
 		// the graph itself), so every reachable vertex has reduced distance
-		// 0 and every unreachable one already has potential Inf: the full
-		// update is the identity, and so is the capped one (dist[t] = 0).
-		// Nothing reads the last round's potentials. And t's parent chain is
-		// final once t settles, so either round augments the same path it
-		// would after settling every vertex.
+		// 0 and every unreachable one already has potential Inf: the update
+		// is the identity. Nothing reads the last round's potentials. And
+		// t's parent chain is final once t settles, so either round augments
+		// the same path it would after settling every vertex.
 		edgeRound := it == 0 || it == k-1
 		for v := range dist {
 			dist[v] = shortest.Inf
@@ -138,7 +120,7 @@ func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *o
 				continue
 			}
 			settled[u] = true
-			if u == t && (targetStop || edgeRound) {
+			if u == t && edgeRound {
 				break
 			}
 			for _, id := range cs.OutRow(u) {
@@ -192,31 +174,14 @@ func (kf *KFlowSolver) run(s, t graph.NodeID, k int, lw shortest.LinWeight, m *o
 		if edgeRound {
 			continue
 		}
-		if targetStop {
-			// Capped repair: pot'[v] = pot[v] + min(dist[v], dist[t]) keeps
-			// every residual reduced weight nonnegative without requiring the
-			// round to settle the whole graph.
-			dt := dist[t]
-			for v := range pot {
-				if pot[v] == shortest.Inf {
-					continue
-				}
-				if dist[v] < dt {
-					pot[v] += dist[v] //lint:allow weightovf potentials accumulate <=k reduced path sums, each under n*MaxWeight < 2^47
-				} else {
-					pot[v] += dt
-				}
+		for v := range pot {
+			if pot[v] == shortest.Inf {
+				continue
 			}
-		} else {
-			for v := range pot {
-				if pot[v] == shortest.Inf {
-					continue
-				}
-				if dist[v] == shortest.Inf {
-					pot[v] = shortest.Inf
-				} else {
-					pot[v] += dist[v] //lint:allow weightovf potentials accumulate <=k reduced path sums, each under n*MaxWeight < 2^47
-				}
+			if dist[v] == shortest.Inf {
+				pot[v] = shortest.Inf
+			} else {
+				pot[v] += dist[v] //lint:allow weightovf the sum is v's residual distance, at most the weighting's edge total; phase-1 probes keep q·Σcost + p·Σdelay ≤ 2^60 (core.checkProbe)
 			}
 		}
 	}

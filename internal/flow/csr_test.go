@@ -132,36 +132,6 @@ func TestKFlowSolverMatchesDigraph(t *testing.T) {
 	}
 }
 
-// TestKFlowSolverTargetIsExact asserts the target-stopped variant finds
-// flows of identical optimal weight (exactness) with identical feasibility
-// verdicts, even though tie-broken flow supports may differ.
-func TestKFlowSolverTargetIsExact(t *testing.T) {
-	for seed := int64(0); seed < 15; seed++ {
-		g, s, tt := randomFlowGraph(seed+50, 30, 120, 5)
-		kf := NewKFlowSolver(graph.NewCSR(g))
-		for k := 0; k <= 7; k++ {
-			for _, lw := range []shortest.LinWeight{shortest.LinCost, shortest.LinDelay, shortest.LinCombine(2, 5)} {
-				fe, errE := kf.MinCostKFlow(s, tt, k, lw, nil, nil)
-				ft, errT := kf.MinCostKFlowTarget(s, tt, k, lw, nil, nil)
-				if (errE == nil) != (errT == nil) {
-					t.Fatalf("seed %d k %d: err %v vs %v", seed, k, errE, errT)
-				}
-				if errE != nil {
-					continue
-				}
-				we := fe.Weight(g, lw)
-				wt := ft.Weight(g, lw)
-				if we != wt {
-					t.Fatalf("seed %d k %d: target-stop weight %d, exact %d", seed, k, wt, we)
-				}
-				if fe.Value != ft.Value {
-					t.Fatalf("seed %d k %d: value %d vs %d", seed, k, ft.Value, fe.Value)
-				}
-			}
-		}
-	}
-}
-
 // TestKFlowSolverReuseIsClean reruns the same solve on a reused solver and
 // checks the second answer matches the first (scratch resets fully).
 func TestKFlowSolverReuseIsClean(t *testing.T) {
@@ -169,7 +139,7 @@ func TestKFlowSolverReuseIsClean(t *testing.T) {
 	kf := NewKFlowSolver(graph.NewCSR(g))
 	f1, err1 := kf.MinCostKFlow(s, tt, 3, shortest.LinCost, nil, nil)
 	// An interleaved different-weight solve dirties every scratch array.
-	if _, err := kf.MinCostKFlowTarget(s, tt, 4, shortest.LinDelay, nil, nil); err != nil {
+	if _, err := kf.MinCostKFlow(s, tt, 4, shortest.LinDelay, nil, nil); err != nil {
 		t.Fatalf("interleaved solve: %v", err)
 	}
 	f2, err2 := kf.MinCostKFlow(s, tt, 3, shortest.LinCost, nil, nil)

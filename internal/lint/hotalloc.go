@@ -16,15 +16,11 @@ var hotPackages = map[string]bool{
 
 // Hotalloc enforces the zero-alloc kernel discipline on the solve path:
 //
-//  1. A call to an allocating kernel variant F is flagged when the callee's
-//     package also provides FInto (the workspace variant). Convenience
-//     wrappers (a function F whose own FInto sibling exists) are exempt —
-//     they ARE the allocating variant, delegating inward.
-//  2. Inside for/range loops of functions statically reachable from
+//  1. Inside for/range loops of functions statically reachable from
 //     core.Solve*, `make` calls and appends to slices declared empty in the
 //     same loop are flagged: both allocate once per iteration and belong in
 //     a Workspace.
-//  3. Calls to (*graph.Digraph).Edges are flagged anywhere in a hot
+//  2. Calls to (*graph.Digraph).Edges are flagged anywhere in a hot
 //     package: Edges copies the whole edge slice per call, and every solve
 //     kernel has an allocation-free alternative (EdgesView, or the packed
 //     CSR view).
@@ -32,21 +28,13 @@ var hotPackages = map[string]bool{
 // Deliberate boundary allocations carry //lint:allow hotalloc <reason>.
 var Hotalloc = &Analyzer{
 	Name:      "hotalloc",
-	Doc:       "flag allocating kernel calls and per-iteration allocation on the solve path",
+	Doc:       "flag edge-slice copies and per-iteration allocation on the solve path",
 	AppliesTo: func(path string) bool { return pathHasAnySegment(path, hotPackages) },
 	Run:       runHotalloc,
 }
 
 func runHotalloc(pass *Pass) {
 	info := pass.Pkg.Info
-	scopeHasInto := func(scope *types.Scope, name string) bool {
-		if scope == nil {
-			return false
-		}
-		obj, ok := scope.Lookup(name + "Into").(*types.Func)
-		_ = obj
-		return ok
-	}
 	reachable := pass.Prog.buildCallGraph().reachable
 
 	for _, f := range pass.Pkg.Files {
@@ -56,26 +44,10 @@ func runHotalloc(pass *Pass) {
 				return true
 			}
 			callee := calleeFunc(info, call)
-			if callee == nil {
-				return true
+			if callee != nil && callee.Type().(*types.Signature).Recv() != nil &&
+				callee.Name() == "Edges" && callee.Pkg() != nil && callee.Pkg().Name() == "graph" {
+				pass.Reportf(call.Pos(), "(*graph.Digraph).Edges copies the edge slice on every call; range EdgesView (or the CSR view) on the solve path")
 			}
-			if callee.Type().(*types.Signature).Recv() != nil {
-				if callee.Name() == "Edges" && callee.Pkg() != nil && callee.Pkg().Name() == "graph" {
-					pass.Reportf(call.Pos(), "(*graph.Digraph).Edges copies the edge slice on every call; range EdgesView (or the CSR view) on the solve path")
-				}
-				return true
-			}
-			if callee.Pkg() == nil || !scopeHasInto(callee.Pkg().Scope(), callee.Name()) {
-				return true
-			}
-			// Wrapper exemption: inside F when FInto exists, delegation to
-			// other allocating variants is the wrapper doing its one job.
-			if enc := enclosingFuncDecl(f, call.Pos()); enc != nil && enc.Recv == nil &&
-				scopeHasInto(pass.Pkg.Types.Scope(), enc.Name.Name) {
-				return true
-			}
-			pass.Reportf(call.Pos(), "call to allocating kernel %s.%s; use %sInto with a Workspace on the solve path",
-				callee.Pkg().Name(), callee.Name(), callee.Name())
 			return true
 		})
 	}

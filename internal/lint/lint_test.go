@@ -135,7 +135,6 @@ func TestNopanicGolden(t *testing.T) {
 
 func TestHotallocGolden(t *testing.T) {
 	expectDiags(t, runOne(t, Hotalloc), []string{
-		"hotalloc/bad.go:25:8",    // call to Sum where SumInto exists
 		"hotalloc/bad.go:26:10",   // make inside solve-path loop
 		"hotalloc/bad.go:28:9",    // append to nil slice declared in loop
 		"hotalloc/edges.go:10:20", // g.Edges() in a hot package; EdgesView is free

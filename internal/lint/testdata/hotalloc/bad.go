@@ -13,12 +13,12 @@ func SumInto(dst []int64, xs []int64) []int64 {
 	return append(dst, total)
 }
 
-// Sum is the allocating convenience wrapper; its own body is exempt.
+// Sum is the allocating convenience wrapper.
 func Sum(xs []int64) []int64 {
 	return SumInto(nil, xs)
 }
 
-// Solve calls the allocating kernel and allocates per iteration.
+// Solve allocates per iteration.
 func Solve(xs []int64, rounds int) int {
 	n := 0
 	for i := 0; i < rounds; i++ {

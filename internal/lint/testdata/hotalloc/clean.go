@@ -16,7 +16,7 @@ func SolveClean(xs []int64, rounds int) int {
 func SolveAnnotated(xs []int64) int {
 	n := 0
 	for i := 0; i < len(xs); i++ {
-		out := Sum(xs) //lint:allow hotalloc golden: boundary allocation outside the hot loop
+		out := make([]int64, i) //lint:allow hotalloc golden: deliberate per-iteration allocation
 		n += len(out)
 	}
 	return n

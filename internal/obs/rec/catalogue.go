@@ -30,8 +30,8 @@ const (
 	KindLambdaIter
 	// KindDualityGap is the phase-1 convergence snapshot after an
 	// iteration: feasible endpoint cost, best dual lower bound (floored to
-	// an integer), and their gap — the quantity the scaled kernel's ε exit
-	// tests and the krsptrace convergence table plots.
+	// an integer), and their gap — the quantity the krsptrace convergence
+	// table plots.
 	KindDualityGap
 	// KindAugment is one successive-shortest-path augmentation round in
 	// the min-cost-flow kernel: round index and the round's s→t reduced

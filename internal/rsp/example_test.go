@@ -30,20 +30,3 @@ func ExampleExactDP() {
 	// D=10: cost 5, delay 8
 	// D=2: cost 20, delay 2
 }
-
-// ExampleLARAC shows the Lagrangian solver's certificate: a feasible path
-// plus a lower bound sandwiching the optimum.
-func ExampleLARAC() {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1, 10)
-	g.AddEdge(1, 3, 1, 10)
-	g.AddEdge(0, 2, 10, 1)
-	g.AddEdge(2, 3, 10, 1)
-	g.AddEdge(0, 3, 5, 8)
-
-	res, _ := rsp.LARAC(g, 0, 3, 10)
-	fmt.Printf("feasible cost %d (delay %d), optimum is at least %d\n",
-		res.Cost, res.Delay, res.LowerBound)
-	// Output:
-	// feasible cost 5 (delay 8), optimum is at least 5
-}

@@ -1,14 +1,8 @@
 // Package rsp implements the single (k=1) Restricted Shortest Path
-// problem: min-cost s→t path with delay ≤ D. It is both a baseline (the
-// paper's citations [7, 17]) and a substrate: the exact layered DP doubles
-// as the engine behind auxiliary-graph searches elsewhere.
-//
-// Three solvers are provided:
-//   - ExactDP: pseudo-polynomial O((D+1)·m·log) layered Dijkstra.
-//   - LARAC:   Lagrangian relaxation with exact integer arithmetic; returns
-//     a feasible path plus a lower bound on OPT.
-//   - FPTAS:   (1+ε)-approximation by cost scaling with geometric interval
-//     narrowing (Hassin / Lorenz–Raz style).
+// problem: min-cost s→t path with delay ≤ D. It is a baseline (the paper's
+// citations [7, 17]) solved exactly by ExactDP, a pseudo-polynomial
+// O((D+1)·m·log) Dijkstra over the delay-layered graph; the greedy
+// sequential kRSP baseline routes one such path at a time.
 package rsp
 
 import (
@@ -28,16 +22,13 @@ type Result struct {
 	Path  graph.Path
 	Cost  int64
 	Delay int64
-	// LowerBound ≤ OPT cost; equals Cost for exact solvers.
-	LowerBound int64
 }
 
-// layeredDijkstra runs Dijkstra over the implicit layered graph whose nodes
-// are (v, b) with b = accumulated layer weight ≤ cap; layer increments come
-// from layerW (must be ≥ 0) and path lengths from distW (must be ≥ 0).
-// dist[b][v] is the min distW-length of an s→(v,≤ rearranged) walk reaching
-// v with layer budget exactly b consumed; parent pointers allow path
-// reconstruction.
+// layered is the result of runLayered's Dijkstra over the implicit layered
+// graph whose nodes are (v, b) with b = accumulated delay ≤ cap: layer
+// increments are edge delays and path lengths edge costs (both must be
+// ≥ 0). dist[b][v] is the min cost of an s→v walk consuming exactly delay
+// b; parent pointers allow path reconstruction.
 type layered struct {
 	cap    int64
 	n      int
@@ -48,7 +39,7 @@ type layered struct {
 
 func (l *layered) at(b int64, v graph.NodeID) int { return int(b)*l.n + int(v) }
 
-func runLayered(g *graph.Digraph, s graph.NodeID, layerW, distW shortest.Weight, cap int64) *layered {
+func runLayered(g *graph.Digraph, s graph.NodeID, cap int64) *layered {
 	n := g.NumNodes()
 	size := (cap + 1) * int64(n)
 	l := &layered{cap: cap, n: n,
@@ -75,9 +66,9 @@ func runLayered(g *graph.Digraph, s graph.NodeID, layerW, distW shortest.Weight,
 		v := graph.NodeID(int64(idx) % int64(n))
 		for _, id := range g.Out(v) {
 			e := g.Edge(id)
-			lw, dw := layerW(e), distW(e)
+			lw, dw := e.Delay, e.Cost
 			if lw < 0 || dw < 0 {
-				//lint:allow nopanic scaling invariant: layered weights of validated instances are nonnegative
+				//lint:allow nopanic validated instances carry nonnegative costs and delays
 				panic(fmt.Sprintf("rsp: negative layered weights (%d,%d)", lw, dw))
 			}
 			nb := b + lw
@@ -137,178 +128,11 @@ func ExactDP(g *graph.Digraph, s, t graph.NodeID, bound int64) (Result, error) {
 	if bound < 0 {
 		return Result{}, ErrInfeasible
 	}
-	l := runLayered(g, s, shortest.DelayWeight, shortest.CostWeight, bound)
+	l := runLayered(g, s, bound)
 	b, cost := l.best(t)
 	if b < 0 {
 		return Result{}, ErrInfeasible
 	}
 	p := l.pathTo(g, t, b)
-	return Result{Path: p, Cost: cost, Delay: p.Delay(g), LowerBound: cost}, nil
-}
-
-// LARAC solves RSP approximately via Lagrangian relaxation. It returns a
-// feasible path (delay ≤ D) whose cost is at most OPT + gap where the gap
-// is certified by Result.LowerBound ≤ OPT. All arithmetic is exact: the
-// multiplier λ = p/q is kept rational and paths are computed under the
-// integer weight q·c + p·d.
-func LARAC(g *graph.Digraph, s, t graph.NodeID, bound int64) (Result, error) {
-	// One workspace serves every Dijkstra below: the Lagrangian loop runs up
-	// to 256 searches over the same graph, and paths are materialized before
-	// the next search clobbers the tree.
-	ws := shortest.NewWorkspace(g.NumNodes())
-	// Cost-minimal path: if feasible, it is exactly optimal.
-	tc := shortest.DijkstraInto(ws, g, s, shortest.CostWeight)
-	pc, ok := tc.PathTo(g, t)
-	if !ok {
-		return Result{}, ErrInfeasible
-	}
-	if pc.Delay(g) <= bound {
-		c := pc.Cost(g)
-		return Result{Path: pc, Cost: c, Delay: pc.Delay(g), LowerBound: c}, nil
-	}
-	// Delay-minimal path: if infeasible, the instance is infeasible.
-	td := shortest.DijkstraInto(ws, g, s, shortest.DelayWeight)
-	pd, ok := td.PathTo(g, t)
-	if !ok || pd.Delay(g) > bound {
-		return Result{}, ErrInfeasible
-	}
-	// Invariant: pc infeasible (delay > D), pd feasible (delay ≤ D).
-	lower := pc.Cost(g) // trivial lower bound: cost of unconstrained min
-	for iter := 0; iter < 256; iter++ {
-		// λ = (c(pd) − c(pc)) / (d(pc) − d(pd)) ≥ 0: pc is the cheap
-		// infeasible path, pd the pricier feasible one, so the numerator is
-		// ≥ 0 and the denominator > 0 by the invariant.
-		p := pd.Cost(g) - pc.Cost(g)
-		q := pc.Delay(g) - pd.Delay(g)
-		if p < 0 {
-			p = 0 // cost tie degenerates to λ = 0
-		}
-		if q <= 0 {
-			break
-		}
-		w := shortest.Combine(q, p)
-		tr := shortest.DijkstraInto(ws, g, s, w)
-		r, _ := tr.PathTo(g, t)
-		wr := weightOf(g, r, w)
-		// Lagrangian lower bound: (wλ(r) − p·D) / q ≤ OPT.
-		if lb := divCeil(wr-p*bound, q); lb > lower {
-			lower = lb
-		}
-		if wr == weightOf(g, pc, w) || wr == weightOf(g, pd, w) {
-			break // converged: r ties an endpoint
-		}
-		if r.Delay(g) <= bound {
-			pd = r
-		} else {
-			pc = r
-		}
-	}
-	c := pd.Cost(g)
-	if lower > c {
-		lower = c
-	}
-	if lower < 0 {
-		lower = 0
-	}
-	return Result{Path: pd, Cost: c, Delay: pd.Delay(g), LowerBound: lower}, nil
-}
-
-// FPTAS solves RSP within factor (1+ε) on cost, strictly obeying the delay
-// bound. eps must be > 0. Runs in time polynomial in the graph size, 1/ε
-// and log(Cmax).
-func FPTAS(g *graph.Digraph, s, t graph.NodeID, bound int64, eps float64) (Result, error) {
-	if eps <= 0 {
-		return Result{}, fmt.Errorf("rsp: eps must be positive, got %g", eps)
-	}
-	// Feasibility + upper bound: min-delay path. Both probes and their paths
-	// are materialized off one workspace.
-	ws := shortest.NewWorkspace(g.NumNodes())
-	td := shortest.DijkstraInto(ws, g, s, shortest.DelayWeight)
-	pd, ok := td.PathTo(g, t)
-	if !ok || pd.Delay(g) > bound {
-		return Result{}, ErrInfeasible
-	}
-	ub := pd.Cost(g)
-	// Lower bound: unconstrained min cost; exact answer if feasible.
-	tc := shortest.DijkstraInto(ws, g, s, shortest.CostWeight)
-	pc, _ := tc.PathTo(g, t)
-	if pc.Delay(g) <= bound {
-		c := pc.Cost(g)
-		return Result{Path: pc, Cost: c, Delay: pc.Delay(g), LowerBound: c}, nil
-	}
-	lb := pc.Cost(g)
-	if lb < 1 {
-		lb = 1
-	}
-	n := int64(g.NumNodes())
-	// Geometric narrowing: find V with OPT ∈ (V/2, 3V].
-	v := lb
-	for v < ub {
-		if testAtMost(g, s, t, bound, v, n) {
-			break // OPT ≤ 3V
-		}
-		v *= 2
-	}
-	// Final scaled DP with θ = max(1, ⌈ε·V/(2n)⌉); cost error ≤ n·θ ≤ ε·V/2
-	// ≤ ε·OPT (since OPT > V/2 when the loop advanced; when it broke at
-	// V = lb, θ's error ≤ ε·lb/2 ≤ ε·OPT too).
-	theta := int64(eps*float64(v)/(4*float64(n))) + 1
-	cap := 3*v/theta + n + 1
-	if capTotal := g.SumCost()/theta + n + 1; cap > capTotal { //lint:allow weightovf θ-scaled cost cap ≤ SumCost < 2^61
-		cap = capTotal
-	}
-	scaled := func(e graph.Edge) int64 { return e.Cost / theta }
-	l := runLayered(g, s, scaled, shortest.DelayWeight, cap)
-	// Minimum scaled budget whose min delay is feasible.
-	for b := int64(0); b <= cap; b++ {
-		if l.dist[l.at(b, t)] <= bound {
-			p := l.pathTo(g, t, b)
-			return Result{Path: p, Cost: p.Cost(g), Delay: p.Delay(g), LowerBound: lb}, nil
-		}
-	}
-	// Unreachable in theory (pd is feasible and has scaled cost ≤ cap);
-	// return the min-delay path as a safe fallback.
-	return Result{Path: pd, Cost: pd.Cost(g), Delay: pd.Delay(g), LowerBound: lb}, nil
-}
-
-// testAtMost reports whether some feasible path has cost ≤ 3V (true) or
-// certifies every feasible path costs > V (false), using a coarse scaled
-// DP with θ = max(1, V/n) and budget cap 2n.
-func testAtMost(g *graph.Digraph, s, t graph.NodeID, bound, v, n int64) bool {
-	theta := v / n
-	if theta < 1 {
-		theta = 1
-	}
-	cap := 2 * n
-	if capV := v/theta + n; capV < cap {
-		cap = capV
-	}
-	scaled := func(e graph.Edge) int64 { return e.Cost / theta }
-	l := runLayered(g, s, scaled, shortest.DelayWeight, cap)
-	for b := int64(0); b <= cap; b++ {
-		if l.dist[l.at(b, t)] <= bound {
-			return true
-		}
-	}
-	return false
-}
-
-func weightOf(g *graph.Digraph, p graph.Path, w shortest.Weight) int64 {
-	var s int64
-	for _, id := range p.Edges {
-		s += w(g.Edge(id)) //lint:allow weightovf path sum; callers pass MaxWeight-bounded weightings
-	}
-	return s
-}
-
-func divCeil(a, b int64) int64 {
-	if b <= 0 {
-		//lint:allow nopanic divisor is θ ≥ 1 by construction; programmer error
-		panic("rsp: divCeil nonpositive divisor")
-	}
-	q := a / b
-	if a%b != 0 && (a > 0) == (b > 0) {
-		q++
-	}
-	return q
+	return Result{Path: p, Cost: cost, Delay: p.Delay(g)}, nil
 }

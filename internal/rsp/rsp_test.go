@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
-	"repro/internal/shortest"
 )
 
 // mk builds the canonical tradeoff graph: a cheap slow path and an
@@ -146,115 +145,9 @@ func TestExactDPMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestLARACFeasibleAndBounded(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 3 + r.Intn(6)
-		g := randG(r, n, 3*n, 20, 10)
-		bound := r.Int63n(25)
-		res, err := LARAC(g, 0, graph.NodeID(n-1), bound)
-		exact, exErr := ExactDP(g, 0, graph.NodeID(n-1), bound)
-		if err != nil {
-			// LARAC declares infeasible only when truly infeasible.
-			return exErr != nil
-		}
-		if res.Delay > bound {
-			return false
-		}
-		// Lower bound sandwich: LB ≤ OPT ≤ LARAC cost.
-		if exErr == nil {
-			if res.LowerBound > exact.Cost || res.Cost < exact.Cost {
-				return false
-			}
-		}
-		return res.Path.Validate(g, 0, graph.NodeID(n-1), false) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLARACExactWhenUnconstrainedFits(t *testing.T) {
-	g := mk()
-	res, err := LARAC(g, 0, 3, 100)
-	if err != nil || res.Cost != 2 || res.LowerBound != 2 {
-		t.Fatalf("res=%+v err=%v", res, err)
-	}
-}
-
-func TestLARACInfeasible(t *testing.T) {
-	g := mk()
-	if _, err := LARAC(g, 0, 3, 1); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("err=%v", err)
-	}
-}
-
-func TestFPTASWithinFactor(t *testing.T) {
-	for _, eps := range []float64{1.0, 0.5, 0.1} {
-		f := func(seed int64) bool {
-			r := rand.New(rand.NewSource(seed))
-			n := 3 + r.Intn(6)
-			g := randG(r, n, 3*n, 30, 10)
-			bound := r.Int63n(25)
-			res, err := FPTAS(g, 0, graph.NodeID(n-1), bound, eps)
-			exact, exErr := ExactDP(g, 0, graph.NodeID(n-1), bound)
-			if err != nil {
-				return exErr != nil
-			}
-			if exErr != nil {
-				return false // FPTAS found a path the exact solver missed?!
-			}
-			if res.Delay > bound {
-				return false
-			}
-			limit := float64(exact.Cost) * (1 + eps)
-			return float64(res.Cost) <= limit+1e-9
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-			t.Fatalf("eps=%g: %v", eps, err)
-		}
-	}
-}
-
-func TestFPTASRejectsBadEps(t *testing.T) {
-	g := mk()
-	if _, err := FPTAS(g, 0, 3, 10, 0); err == nil {
-		t.Fatal("eps=0 accepted")
-	}
-	if _, err := FPTAS(g, 0, 3, 10, -1); err == nil {
-		t.Fatal("eps<0 accepted")
-	}
-}
-
-func TestFPTASInfeasible(t *testing.T) {
-	g := mk()
-	if _, err := FPTAS(g, 0, 3, 1, 0.5); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("err=%v", err)
-	}
-}
-
-func TestFPTASLargeCosts(t *testing.T) {
-	// Costs large enough that scaling actually kicks in (θ > 1).
-	g := graph.New(4)
-	g.AddEdge(0, 1, 100000, 10)
-	g.AddEdge(1, 3, 100000, 10)
-	g.AddEdge(0, 2, 1000000, 1)
-	g.AddEdge(2, 3, 1000000, 1)
-	res, err := FPTAS(g, 0, 3, 2, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Delay > 2 {
-		t.Fatalf("delay %d", res.Delay)
-	}
-	if res.Cost > int64(float64(2000000)*1.25) {
-		t.Fatalf("cost %d exceeds (1+ε)·OPT", res.Cost)
-	}
-}
-
 func TestLayeredBestAndPath(t *testing.T) {
 	g := mk()
-	l := runLayered(g, 0, shortest.DelayWeight, shortest.CostWeight, 25)
+	l := runLayered(g, 0, 25)
 	b, d := l.best(3)
 	if d != 2 || b < 0 {
 		t.Fatalf("best = %d @ layer %d", d, b)
@@ -262,22 +155,5 @@ func TestLayeredBestAndPath(t *testing.T) {
 	p := l.pathTo(g, 3, b)
 	if p.Cost(g) != 2 {
 		t.Fatalf("path cost %d", p.Cost(g))
-	}
-}
-
-func TestLARACQualityOnTradeoff(t *testing.T) {
-	// Regression for the inverted-multiplier bug: LARAC must actually
-	// iterate and land on the middle path (cost 5), not stall on the
-	// delay-minimal one (cost 20).
-	g := mk()
-	res, err := LARAC(g, 0, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost != 5 || res.Delay != 8 {
-		t.Fatalf("LARAC stalled: got %d/%d, want 5/8", res.Cost, res.Delay)
-	}
-	if res.LowerBound > 5 || res.LowerBound < 2 {
-		t.Fatalf("lower bound %d", res.LowerBound)
 	}
 }

@@ -17,7 +17,8 @@ import (
 func lgridResidual() *graph.CSR {
 	ins := gen.LayeredGrid(7, 50, 100, gen.DefaultWeights())
 	g := ins.G
-	tree := shortest.Dijkstra(g, ins.S, shortest.DelayWeight)
+	delay := func(e graph.Edge) int64 { return e.Delay }
+	tree := shortest.DijkstraInto(shortest.NewWorkspace(g.NumNodes()), g, ins.S, delay)
 	c := graph.NewCSR(g)
 	for v := ins.T; v != ins.S; {
 		id := tree.Parent[v]

@@ -6,7 +6,7 @@ import (
 
 // LinWeight is a linear edge weighting q·cost + p·delay in packed form.
 // Every weighting the solver routes on is linear in (cost, delay) — cost,
-// delay, the Lagrangian combinations Combine(q, p), and the bicameral
+// delay, the Lagrangian combinations LinCombine(q, p), and the bicameral
 // lexicographic weights — so CSR kernels take a LinWeight instead of a
 // Weight closure: two multiplies against the packed arrays replace an
 // indirect call per edge, and two's-complement distributivity makes the
@@ -22,13 +22,14 @@ func (lw LinWeight) Of(cost, delay int64) int64 {
 	return lw.Q*cost + lw.P*delay //lint:allow weightovf exact λ=p/q search; callers keep |p|,|q|·MaxWeight in range
 }
 
-// LinCost and LinDelay are the CSR counterparts of CostWeight/DelayWeight.
+// LinCost and LinDelay route on edge cost and on edge delay.
 var (
 	LinCost  = LinWeight{Q: 1}
 	LinDelay = LinWeight{P: 1}
 )
 
-// LinCombine is the CSR counterpart of Combine: q·cost + p·delay.
+// LinCombine returns the weighting q·cost + p·delay; exact integer
+// arithmetic for Lagrangian searches with rational multiplier λ = p/q.
 func LinCombine(q, p int64) LinWeight { return LinWeight{Q: q, P: p} }
 
 // maskedW is the sentinel weight of an excluded edge, matching the

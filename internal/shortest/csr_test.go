@@ -73,8 +73,7 @@ func TestLinWeightMatchesCombine(t *testing.T) {
 		p := rng.Int63n(1<<31) - (1 << 30)
 		cost := rng.Int63n(1<<31) - (1 << 30)
 		delay := rng.Int63n(1<<31) - (1 << 30)
-		e := graph.Edge{Cost: cost, Delay: delay}
-		if got, want := LinCombine(q, p).Of(cost, delay), Combine(q, p)(e); got != want {
+		if got, want := LinCombine(q, p).Of(cost, delay), q*cost+p*delay; got != want {
 			t.Fatalf("q=%d p=%d c=%d d=%d: %d vs %d", q, p, cost, delay, got, want)
 		}
 	}

@@ -55,8 +55,8 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		fresh := func() *Workspace { return NewWorkspace(n) }
 
 		if !negative {
-			want := DijkstraPotentials(g, s, CostWeight, nil)
-			got := DijkstraPotentialsInto(ws, g, s, CostWeight, nil)
+			want := DijkstraInto(fresh(), g, s, CostWeight)
+			got := DijkstraInto(ws, g, s, CostWeight)
 			sameTree(t, "dijkstra", want, got)
 			sameTree(t, "dijkstraCSR", DijkstraCSRInto(fresh(), c, s, LinCost), DijkstraCSRInto(ws, c, s, LinCost))
 		}
