@@ -79,7 +79,8 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x -short ./...
 
 # One-shot N=5k smoke of the large tier: phase 1 alone plus the end-to-end
-# solve. The full sweep (phase 1 at N=5k/20k/50k, the solve at N=5k) is
+# solve. The full sweep (phase 1 alone and the solve, each at
+# N=5k/20k/50k) is
 #   go test -run '^$$' -bench 'Phase1ClassicN|SolveLargeN' -benchmem .
 bench-large:
 	$(GO) test -run '^$$' -bench 'Phase1ClassicN5k|SolveLargeN5k' -benchtime 1x .

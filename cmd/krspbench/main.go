@@ -342,6 +342,18 @@ func phase1Row(n, k int) func(b *testing.B) {
 	}
 }
 
+func solveLargeRow(n, k int) func(b *testing.B) {
+	return func(b *testing.B) {
+		ins := largeInstance(n, k)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Solve(ins, core.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // suite mirrors the hot-path subset of the repo-level bench_test.go — the
 // benchmarks whose regressions the performance workflow tracks.
 func suite() []bench {
@@ -513,21 +525,15 @@ func suite() []bench {
 				}
 			}
 		}},
-		// Large tier: phase 1 alone at N = 5k, 20k and 50k (the Phase1Classic
-		// names line up with the older snapshots' rows), and the full solve
-		// at N = 5k, the twin of BenchmarkSolveLargeN5k.
+		// Large tier: phase 1 alone and the full solve at N = 5k, 20k and
+		// 50k (the Phase1Classic names line up with the older snapshots'
+		// rows; the SolveLarge rows are the twins of BenchmarkSolveLarge*).
 		{"Phase1ClassicN5k", phase1Row(5_000, 3)},
 		{"Phase1ClassicN20k", phase1Row(20_000, 3)},
 		{"Phase1ClassicN50k", phase1Row(50_000, 3)},
-		{"SolveLargeN5k", func(b *testing.B) {
-			ins := largeInstance(5_000, 3)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Solve(ins, core.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
+		{"SolveLargeN5k", solveLargeRow(5_000, 3)},
+		{"SolveLargeN20k", solveLargeRow(20_000, 3)},
+		{"SolveLargeN50k", solveLargeRow(50_000, 3)},
 	}
 }
 

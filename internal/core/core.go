@@ -224,12 +224,16 @@ const probeLimit = 1 << 60
 // W ≤ 2^60 keeps every int64 the probe computes within ±3·2^60, inside
 // int64. Each edge weight is at most W, and a flow weight or a simple
 // residual path length, a signed sum over distinct edges, lies in [−W, W].
-// Potentials start as Dijkstra distances in [0, W] and never decrease; each
-// update pot[v] += dist[v] sets a finite potential to v's residual distance
-// from s, a simple residual path's length, so every finite potential lies
-// in [0, W]. A reduced weight ±w + pot[u] − pot[v] and its partial sum then
-// lie in [−2W, 2W], and a tentative distance du + rw is a simple residual
-// path's length minus a potential, in [−2W, W]. Finally p·D ≤ p·Σdelay ≤ W,
+// Potentials start at 0, and each round's capped update adds
+// min(d(v), d(t)) ≥ 0, where d is the round's reduced distance from s.
+// pot[s] stays 0, so afterwards pot[t] is the residual s→t distance, a
+// simple residual path's length in [0, W]; and if pot[v] ≤ pot[t] held
+// before the round it holds after, because min(d(v), d(t)) ≤ d(t). By
+// induction every potential lies in [0, W]. A reduced weight
+// ±w + pot[u] − pot[v] and its partial sum then lie in [−2W, 2W]. A
+// settled vertex's reduced distance du lies in [0, d(t)], and
+// d(t) ≤ pot[t] + d(t), the residual s→t distance, ≤ W; so a tentative
+// distance du + rw stays in [−2W, 3W]. Finally p·D ≤ p·Σdelay ≤ W,
 // because the λ search runs only when the min-cost flow's delay, at most
 // Σdelay, exceeds D; so wf − p·D lies in [−W, W].
 func checkProbe(sumCost, sumDelay int64, lw shortest.LinWeight) error {

@@ -15,19 +15,19 @@ import (
 // reusable scratch: it is the package's one min-cost-flow kernel
 // (MinCostKFlow wraps a fresh one). Phase 1 calls min-cost flow ~10 times
 // per solve (two endpoint flows plus the Lagrangian iterations) on the SAME
-// graph; a solver instance hoists the workspace, potential, distance,
-// parent and heap arrays out of those calls, so a call allocates only its
-// UnitFlow result.
+// graph; a solver instance hoists the potential, distance, parent and heap
+// arrays out of those calls, so a call allocates only its UnitFlow result.
 //
-// Augmentation rounds iterate the CSR rows directly (forward arcs from
-// OutRow, cancelling arcs from InRow, both ID-ascending), in the order the
-// Digraph kernel this replaced walked its adjacency lists, so the flows,
-// errors and augmentation counts are the same as that kernel's (a copy is
-// kept in this package's tests as the reference). Not safe for concurrent
-// use; one solver per goroutine.
+// Which of several optimal flows it returns is fixed by a written rule,
+// not by the queue: each round's Dijkstra settles vertices in (reduced
+// distance, vertex ID) order (pq.Heap's pop order), relaxes a vertex's
+// forward arcs from OutRow and then its cancelling arcs from InRow, both
+// ID-ascending, and augments along the resulting tree path to t. A
+// linear-scan kernel of the same rule is kept in this package's tests as
+// the specification. Not safe for concurrent use; one solver per
+// goroutine.
 type KFlowSolver struct {
 	c       *graph.CSR
-	ws      *shortest.Workspace
 	inFlow  []bool
 	pot     []int64
 	dist    []int64
@@ -38,8 +38,9 @@ type KFlowSolver struct {
 }
 
 // SetRecorder attaches a flight recorder; each augmentation round then
-// records one augment event (round index, s→t reduced distance). Nil (the
-// default) records nothing and costs one dead branch per round.
+// records one augment event (round index, s→t reduced distance, vertices
+// settled). Nil (the default) records nothing and costs one dead branch per
+// round.
 func (kf *KFlowSolver) SetRecorder(r *rec.Recorder) { kf.fr = r }
 
 // NewKFlowSolver returns a solver bound to the view. The view must not be
@@ -49,7 +50,6 @@ func NewKFlowSolver(c *graph.CSR) *KFlowSolver {
 	n := c.NumNodes()
 	return &KFlowSolver{
 		c:       c,
-		ws:      shortest.NewWorkspace(n),
 		inFlow:  make([]bool, c.NumEdges()),
 		pot:     make([]int64, n),
 		dist:    make([]int64, n),
@@ -61,10 +61,14 @@ func NewKFlowSolver(c *graph.CSR) *KFlowSolver {
 
 // MinCostKFlow computes a minimum-weight integral s→t flow of value k under
 // unit capacities over the solver's CSR view, by successive shortest paths
-// with Johnson potentials. Its first and last rounds stop once t settles,
-// so flow.relaxations counts fewer relaxations than a kernel whose every
-// round settles the whole graph; flows, errors and augmentation counts are
-// unaffected.
+// with Johnson potentials. Weights must be nonnegative. Potentials start at
+// zero, so the first round is a plain Dijkstra, and every round stops once
+// t settles. Between rounds a capped repair adds min(d(v), d(t)) to each
+// potential, where d is the round's reduced distance: d(v) for the settled
+// vertices, d(t) for the rest. For every residual arc (u,v),
+// min(d(v), d(t)) ≤ min(d(u), d(t)) + rw(u,v), and the arcs the
+// augmentation reverses lie on a shortest path, so reduced weights stay
+// nonnegative and each round augments along a shortest path.
 func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWeight, m *obs.FlowMetrics, c *cancel.Canceller) (UnitFlow, error) {
 	if k < 0 {
 		return UnitFlow{}, fmt.Errorf("flow: negative k=%d", k)
@@ -80,35 +84,20 @@ func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWei
 	for i := range inFlow {
 		inFlow[i] = false
 	}
-	// Potentials initialized by a plain Dijkstra (weights nonnegative),
-	// copied out of the workspace tree so the per-round searches below can
-	// reuse the workspace-independent scratch.
-	pot := kf.pot[:n]
-	copy(pot, shortest.DijkstraCSRInto(kf.ws, cs, s, lw).Dist)
-
-	dist, parent, settled, h := kf.dist[:n], kf.parent[:n], kf.settled[:n], kf.h
+	pot, dist, parent, settled, h := kf.pot[:n], kf.dist[:n], kf.parent[:n], kf.settled[:n], kf.h
+	for v := range pot {
+		pot[v] = 0
+	}
 	for it := 0; it < k; it++ {
-		// The first and last rounds stop once t settles and skip the
-		// potential update. In round 1 the potentials are the initial
-		// Dijkstra's exact distances over the flow-free residual (which is
-		// the graph itself), so every reachable vertex has reduced distance
-		// 0 and every unreachable one already has potential Inf: the update
-		// is the identity. Nothing reads the last round's potentials. And
-		// t's parent chain is final once t settles, so either round augments
-		// the same path it would after settling every vertex.
-		edgeRound := it == 0 || it == k-1
 		for v := range dist {
 			dist[v] = shortest.Inf
 			parent[v] = arc{edge: -1}
 			settled[v] = false
 		}
-		if pot[s] == shortest.Inf {
-			recordFlow(m, rounds, relaxed, true)
-			return UnitFlow{}, ErrInfeasible
-		}
 		dist[s] = 0
 		h.Reset()
 		h.Push(int(s), 0)
+		var reached int64
 		for h.Len() > 0 {
 			if c.Poll() {
 				recordFlow(m, rounds, relaxed, false)
@@ -116,11 +105,9 @@ func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWei
 			}
 			ui, du := h.Pop()
 			u := graph.NodeID(ui)
-			if settled[u] {
-				continue
-			}
 			settled[u] = true
-			if u == t && edgeRound {
+			reached++
+			if u == t {
 				break
 			}
 			for _, id := range cs.OutRow(u) {
@@ -128,7 +115,7 @@ func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWei
 					continue
 				}
 				to := cs.Head(id)
-				if settled[to] || pot[to] == shortest.Inf {
+				if settled[to] {
 					continue
 				}
 				rw := lw.Of(cs.Cost(id), cs.Delay(id)) + pot[u] - pot[to]
@@ -148,7 +135,7 @@ func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWei
 					continue
 				}
 				to := cs.Tail(id)
-				if settled[to] || pot[to] == shortest.Inf {
+				if settled[to] {
 					continue
 				}
 				rw := -lw.Of(cs.Cost(id), cs.Delay(id)) + pot[u] - pot[to]
@@ -164,25 +151,19 @@ func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWei
 				}
 			}
 		}
-		if dist[t] == shortest.Inf {
+		dt := dist[t]
+		if dt == shortest.Inf {
 			recordFlow(m, rounds, relaxed, true)
 			return UnitFlow{}, ErrInfeasible
 		}
 		rounds++
-		kf.fr.Record(rec.KindAugment, rounds, dist[t], 0, 0)
+		kf.fr.Record(rec.KindAugment, rounds, dt, reached, 0)
 		kf.augmentAlong(parent, inFlow, s, t)
-		if edgeRound {
-			continue
-		}
+		// The capped repair: settled vertices keep their distance, and the
+		// rest, which lie at least dist[t] away, take dist[t].
 		for v := range pot {
-			if pot[v] == shortest.Inf {
-				continue
-			}
-			if dist[v] == shortest.Inf {
-				pot[v] = shortest.Inf
-			} else {
-				pot[v] += dist[v] //lint:allow weightovf the sum is v's residual distance, at most the weighting's edge total; phase-1 probes keep q·Σcost + p·Σdelay ≤ 2^60 (core.checkProbe)
-			}
+			dist[v] = min(dist[v], dt)
+			pot[v] += dist[v] //lint:allow weightovf pot[v] stays in [0, pot[t]] and pot[t] is the residual s→t distance; phase-1 probes keep q·Σcost + p·Σdelay ≤ 2^60 (core.checkProbe)
 		}
 	}
 

@@ -10,11 +10,18 @@ import (
 	"repro/internal/shortest"
 )
 
-// This file keeps the Digraph min-cost k-flow kernel that MinCostKFlow ran
-// before it became a wrapper over KFlowSolver, verbatim: successive shortest
-// paths over the adjacency lists with closure weights, every round a full
-// Dijkstra followed by the O(n) potential update. It is the reference
-// TestKFlowSolverMatchesDigraph holds the CSR solver to.
+// This file keeps two min-cost k-flow kernels over the Digraph that
+// KFlowSolver is tested against:
+//
+//   - minCostKFlow, the kernel MinCostKFlow ran before it became a wrapper
+//     over KFlowSolver, verbatim: successive shortest paths over the
+//     adjacency lists with closure weights, a full potential Dijkstra, then
+//     every round a full Dijkstra followed by the O(n) potential update. It
+//     is the optimum oracle of TestKFlowSolverMatchesDigraph.
+//   - specMinCostKFlow, KFlowSolver's tie rule written out with no heap: it
+//     settles the unsettled vertex with the least (reduced distance, vertex
+//     ID) by linear scan, stops each round at t and applies the capped
+//     repair. It is the specification of TestKFlowSolverMatchesSpec.
 
 // augmentAlong flips flow along the parent chain from t back to s, pushing
 // on forward arcs and cancelling on backward ones.
@@ -133,6 +140,89 @@ func minCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, w shortest.Weight,
 			} else {
 				pot[v] += dist[v] //lint:allow weightovf potentials accumulate <=k reduced path sums, each under n*MaxWeight < 2^47
 			}
+		}
+	}
+
+	set := graph.NewEdgeSet()
+	for id, used := range inFlow {
+		if used {
+			set.Add(graph.EdgeID(id))
+		}
+	}
+	recordFlow(m, rounds, relaxed, false)
+	return UnitFlow{Edges: set, Value: k}, nil
+}
+
+// specMinCostKFlow computes the min-cost k-flow KFlowSolver must return,
+// edge for edge: potentials start at zero; each round scans for the
+// unsettled vertex with the least (reduced distance, vertex ID), relaxes
+// its unused out-arcs and then its used in-arcs in ascending edge-ID order
+// (strict improvements only), stops once t settles, augments along t's
+// tree path, and adds min(dist[v], dist[t]) to every potential.
+func specMinCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, lw shortest.LinWeight, m *obs.FlowMetrics) (UnitFlow, error) {
+	if k < 0 {
+		return UnitFlow{}, fmt.Errorf("flow: negative k=%d", k)
+	}
+	var rounds, relaxed int64
+	n := g.NumNodes()
+	inFlow := make([]bool, g.NumEdges())
+	pot := make([]int64, n)
+	for it := 0; it < k; it++ {
+		dist := make([]int64, n)
+		parent := make([]arc, n)
+		settled := make([]bool, n)
+		for v := range dist {
+			dist[v] = shortest.Inf
+			parent[v] = arc{edge: -1}
+		}
+		dist[s] = 0
+		for {
+			u := graph.NodeID(-1)
+			for v := range dist {
+				if !settled[v] && dist[v] != shortest.Inf && (u < 0 || dist[v] < dist[u]) {
+					u = graph.NodeID(v)
+				}
+			}
+			if u < 0 {
+				break
+			}
+			settled[u] = true
+			if u == t {
+				break
+			}
+			relax := func(to graph.NodeID, wt int64, a arc) {
+				if settled[to] {
+					return
+				}
+				rw := wt + pot[u] - pot[to]
+				if rw < 0 {
+					panic(fmt.Sprintf("flow: negative reduced weight %d", rw))
+				}
+				if nd := dist[u] + rw; nd < dist[to] {
+					dist[to] = nd
+					parent[to] = a
+					relaxed++
+				}
+			}
+			for _, id := range g.Out(u) {
+				if e := g.Edge(id); !inFlow[id] {
+					relax(e.To, lw.Of(e.Cost, e.Delay), arc{edge: id, fwd: true})
+				}
+			}
+			for _, id := range g.In(u) {
+				if e := g.Edge(id); inFlow[id] {
+					relax(e.From, -lw.Of(e.Cost, e.Delay), arc{edge: id, fwd: false})
+				}
+			}
+		}
+		if dist[t] == shortest.Inf {
+			recordFlow(m, rounds, relaxed, true)
+			return UnitFlow{}, ErrInfeasible
+		}
+		rounds++
+		augmentAlong(g, parent, inFlow, s, t)
+		for v := range pot {
+			pot[v] += min(dist[v], dist[t])
 		}
 	}
 

@@ -26,7 +26,6 @@ func TestCSRKernelsCarryNoalloc(t *testing.T) {
 	}
 	ci := prog.contractIndex()
 	want := map[string]bool{
-		"DijkstraCSRInto":       false,
 		"SPFAAllCSRInto":        false,
 		"BellmanFordAllCSRInto": false,
 	}

@@ -34,8 +34,8 @@ const (
 	// table plots.
 	KindDualityGap
 	// KindAugment is one successive-shortest-path augmentation round in
-	// the min-cost-flow kernel: round index and the round's s→t reduced
-	// distance.
+	// the min-cost-flow kernel: round index, the round's s→t reduced
+	// distance, and the number of vertices its Dijkstra settled.
 	KindAugment
 	// KindCancelStep is one applied cycle cancellation: cycle edge count,
 	// aggregate cost and delay of the applied candidate, bicameral type.
@@ -156,7 +156,7 @@ var kinds = [NumKinds]KindInfo{
 	},
 	KindAugment: {
 		Name: "augment",
-		Args: [4]string{"round", "dist", "", ""},
+		Args: [4]string{"round", "dist", "settled", ""},
 		Doc:  "min-cost-flow augmentation round",
 	},
 	KindCancelStep: {

@@ -1,6 +1,9 @@
 // Package pq provides an indexed binary min-heap keyed by int64 priorities.
 // It supports decrease-key by item index, which Dijkstra-style algorithms
-// need; indices are dense integers (vertex IDs).
+// need; indices are dense integers (vertex IDs). Pop returns the least
+// (key, item) pair, so equal keys leave in ascending item order and a
+// Dijkstra run over the heap settles vertices in (distance, vertex ID)
+// order.
 package pq
 
 import "math"
@@ -15,13 +18,12 @@ type entry struct {
 // Heap is an indexed min-heap over items 0..n-1, n ≤ math.MaxInt32. The
 // zero value is not usable; construct with New.
 //
-// Pop order is a contract: sifts move a hole instead of swapping, but make
-// the same comparisons in the same order as a pairwise-swap heap over
-// separate item and key arrays (a key update skips only the sift its key
-// cannot take), so every Pop returns the same (item, key), ties included.
-// Callers whose parent pointers depend on tie order (the min-cost-flow
-// rounds, DijkstraCSRInto) rely on it; the swap heap is kept in this
-// package's tests as the reference.
+// Pop order is a contract: Pop removes the queued item with the least
+// (key, item) pair. Items are distinct, so that order is total and the
+// sequence of pops depends only on the pushes, never on the heap's shape;
+// any queue honouring it is interchangeable. Callers whose parent pointers
+// depend on tie order (the min-cost-flow rounds) rely on it, and the
+// package's tests hold the heap to a linear-scan oracle of the rule.
 type Heap struct {
 	heap []entry // heap[i] = entry at heap position i; cap = item universe
 	pos  []int32 // pos[item] = heap position, or -1 if absent
@@ -113,8 +115,13 @@ func (h *Heap) Grow(n int) {
 // Cap reports the size of the item universe the heap currently supports.
 func (h *Heap) Cap() int { return len(h.pos) }
 
+// less orders entries by key, then by item.
+func less(a, b entry) bool {
+	return a.key < b.key || a.key == b.key && a.item < b.item
+}
+
 // up sifts e toward the root from the hole at i and stores it where it
-// stops: each parent with a strictly larger key moves down into the hole.
+// stops: each parent that orders after e moves down into the hole.
 //
 //krsp:terminates(i moves strictly toward the heap root each pass)
 func (h *Heap) up(i int, e entry) {
@@ -122,7 +129,7 @@ func (h *Heap) up(i int, e entry) {
 	for i > 0 {
 		p := (i - 1) / 2
 		pe := hp[p]
-		if !(e.key < pe.key) {
+		if !less(e, pe) {
 			break
 		}
 		hp[i] = pe
@@ -134,8 +141,7 @@ func (h *Heap) up(i int, e entry) {
 }
 
 // down sifts e toward the leaves from the hole at i and stores it where it
-// stops: the smaller child (the left one on a tie) moves up into the hole
-// while its key is strictly below e's.
+// stops: the lesser child moves up into the hole while it orders before e.
 //
 //krsp:terminates(i strictly descends a heap of ≤ n entries)
 func (h *Heap) down(i int, e entry) {
@@ -147,11 +153,11 @@ func (h *Heap) down(i int, e entry) {
 			break
 		}
 		small, se := i, e
-		if c := hp[l]; c.key < se.key {
+		if c := hp[l]; less(c, se) {
 			small, se = l, c
 		}
 		if r := l + 1; r < n {
-			if c := hp[r]; c.key < se.key {
+			if c := hp[r]; less(c, se) {
 				small, se = r, c
 			}
 		}

@@ -108,61 +108,74 @@ func TestQuickHeapSort(t *testing.T) {
 	}
 }
 
-// TestHeapMatchesReference drives the inline-key Heap and the swap heap it
-// replaced (ref_test.go) through the same random operation sequences and
-// requires the same (item, key) from every Pop. Keys come from small ranges
-// so ties dominate, which is where a sift that compared differently would
-// pop a different item. Sequences mix new pushes, decreases, increases and
-// equal-key updates, pops, Reset and Grow (including Grow with items
-// queued).
-func TestHeapMatchesReference(t *testing.T) {
+// oracle is the pop-order rule written out: the queued items and their
+// keys, with Pop a linear scan for the least (key, item) pair.
+type oracle map[int]int64
+
+func (o oracle) Pop() (item int, key int64) {
+	item = -1
+	for i, k := range o {
+		if item < 0 || k < key || k == key && i < item {
+			item, key = i, k
+		}
+	}
+	delete(o, item)
+	return item, key
+}
+
+// TestHeapMatchesSpec drives Heap and the linear-scan oracle through the
+// same random operation sequences and requires the same (item, key) from
+// every Pop. Keys come from small ranges so ties dominate, which is where a
+// heap that broke them by anything but the item would pop a different item.
+// Sequences mix new pushes, decreases, increases and equal-key updates,
+// pops, Reset and Grow (including Grow with items queued).
+func TestHeapMatchesSpec(t *testing.T) {
 	const sequences, ops = 20000, 400
 	r := rand.New(rand.NewSource(1))
 	for seq := 0; seq < sequences; seq++ {
 		n := 1 + r.Intn(64)
 		keyRange := 1 + r.Intn(8)
-		h, ref := New(n), newRef(n)
+		h, spec := New(n), oracle{}
 		for op := 0; op < ops; op++ {
 			switch x := r.Intn(100); {
 			case x < 55:
 				item, key := r.Intn(n), int64(r.Intn(keyRange))
 				h.Push(item, key)
-				ref.Push(item, key)
+				spec[item] = key
 			case x < 93:
-				if h.Len() != ref.Len() {
-					t.Fatalf("seq %d op %d: Len %d, reference %d", seq, op, h.Len(), ref.Len())
+				if h.Len() != len(spec) {
+					t.Fatalf("seq %d op %d: Len %d, spec %d", seq, op, h.Len(), len(spec))
 				}
 				if h.Len() == 0 {
 					continue
 				}
 				gi, gk := h.Pop()
-				wi, wk := ref.Pop()
+				wi, wk := spec.Pop()
 				if gi != wi || gk != wk {
-					t.Fatalf("seq %d op %d: Pop = (%d, %d), reference (%d, %d)", seq, op, gi, gk, wi, wk)
+					t.Fatalf("seq %d op %d: Pop = (%d, %d), spec (%d, %d)", seq, op, gi, gk, wi, wk)
 				}
 			case x < 96:
 				n += r.Intn(8)
 				h.Grow(n)
-				ref.Grow(n)
 			case x < 98:
 				h.Reset()
-				ref.Reset()
+				clear(spec)
 			default:
 				item := r.Intn(n)
-				if h.Contains(item) != ref.Contains(item) {
-					t.Fatalf("seq %d op %d: Contains(%d) = %v, reference %v", seq, op, item, h.Contains(item), ref.Contains(item))
+				if _, queued := spec[item]; h.Contains(item) != queued {
+					t.Fatalf("seq %d op %d: Contains(%d) = %v, spec %v", seq, op, item, h.Contains(item), queued)
 				}
 			}
 		}
-		for ref.Len() > 0 {
+		for len(spec) > 0 {
 			gi, gk := h.Pop()
-			wi, wk := ref.Pop()
+			wi, wk := spec.Pop()
 			if gi != wi || gk != wk {
-				t.Fatalf("seq %d drain: Pop = (%d, %d), reference (%d, %d)", seq, gi, gk, wi, wk)
+				t.Fatalf("seq %d drain: Pop = (%d, %d), spec (%d, %d)", seq, gi, gk, wi, wk)
 			}
 		}
 		if h.Len() != 0 {
-			t.Fatalf("seq %d: %d items left after the reference drained", seq, h.Len())
+			t.Fatalf("seq %d: %d items left after the spec drained", seq, h.Len())
 		}
 	}
 }

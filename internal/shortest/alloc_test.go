@@ -79,9 +79,10 @@ func TestSPFAAllocs(t *testing.T) {
 }
 
 // TestDijkstraGrownWorkspaceAllocs is the runtime witness behind the
-// heap's "New/Grow precap" waiver under DijkstraCSRInto's noalloc contract:
-// a workspace created small and grown to N≈5k must serve its first
-// Dijkstra without allocating. The count is taken around that single call
+// heap's "New/Grow precap" waiver under DijkstraInto's noalloc contract
+// (the Dijkstra under Yen's search, over the same pq.Heap the min-cost-flow
+// kernel runs): a workspace created small and grown to N≈5k must serve its
+// first Dijkstra without allocating. The count is taken around that single call
 // with runtime.ReadMemStats, because testing.AllocsPerRun's warm-up run
 // would absorb any first-call growth. Mallocs is process-wide, so a
 // goroutine left over from another test can add to one reading; the
@@ -92,14 +93,13 @@ func TestDijkstraGrownWorkspaceAllocs(t *testing.T) {
 		t.Skip("N≈5k allocation witness: skipped under -short")
 	}
 	ins := gen.LayeredGrid(7, 50, 100, gen.DefaultWeights())
-	c := graph.NewCSR(ins.G)
 	least := ^uint64(0)
 	for attempt := 0; attempt < 3; attempt++ {
 		ws := shortest.NewWorkspace(4)
-		ws.Grow(c.NumNodes())
+		ws.Grow(ins.G.NumNodes())
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		tree := shortest.DijkstraCSRInto(ws, c, ins.S, shortest.LinDelay)
+		tree := shortest.DijkstraInto(ws, ins.G, ins.S, shortest.CostWeight)
 		runtime.ReadMemStats(&after)
 		if tree.Dist[ins.T] == shortest.Inf {
 			t.Fatal("t unreachable: the witness searched nothing")
@@ -107,6 +107,6 @@ func TestDijkstraGrownWorkspaceAllocs(t *testing.T) {
 		least = min(least, after.Mallocs-before.Mallocs)
 	}
 	if least != 0 {
-		t.Fatalf("first DijkstraCSRInto on a grown workspace: %d allocations, want 0", least)
+		t.Fatalf("first DijkstraInto on a grown workspace: %d allocations, want 0", least)
 	}
 }

@@ -43,59 +43,6 @@ func defaultBudget(c *graph.CSR) int {
 	return 4*c.NumNodes()*c.NumEdges() + 256
 }
 
-// DijkstraCSRInto computes shortest paths from s under lw over an unflipped
-// CSR view (the problem graph); every selected weight must be nonnegative
-// (panics otherwise, since that would silently produce wrong answers).
-// Iteration follows OutRow in ascending edge-ID order. The returned Tree
-// aliases the workspace (see Workspace).
-//
-//krsp:noalloc
-//krsp:terminates(each vertex finalizes once and the heap holds ≤ m entries)
-//krsp:inbounds
-func DijkstraCSRInto(ws *Workspace, c *graph.CSR, s graph.NodeID, lw LinWeight) Tree {
-	if c.Mixed() {
-		//lint:allow nopanic unflipped-view contract; only problem-graph views reach Dijkstra, a flipped one is a solver bug
-		panic("shortest: DijkstraCSRInto on a flipped view")
-	}
-	n := c.NumNodes()
-	t := ws.tree(n)
-	done := ws.done[:n] //lint:allow boundsafe ws.tree(n) grows ws.done to n alongside the tree arrays
-	for v := range t.Dist {
-		t.Dist[v] = Inf
-		t.Parent[v] = -1 //lint:allow boundsafe ws.tree(n) sizes Dist and Parent to the same length
-		done[v] = false  //lint:allow boundsafe ws.tree(n) grows ws.done to n alongside the tree arrays
-	}
-	t.Dist[s] = 0
-	h := ws.heap
-	h.Reset()
-	h.Push(int(s), 0)
-	for h.Len() > 0 {
-		ui, du := h.Pop()
-		u := graph.NodeID(ui)
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		for _, id := range c.OutRow(u) {
-			to := c.Head(id)
-			if done[to] {
-				continue
-			}
-			rw := lw.Of(c.Cost(id), c.Delay(id))
-			if rw < 0 {
-				//lint:allow nopanic nonnegative-weight contract; a violation is a solver bug, not bad input
-				panic("shortest: negative weight in DijkstraCSRInto")
-			}
-			if nd := du + rw; nd < t.Dist[to] {
-				t.Dist[to] = nd
-				t.Parent[to] = id
-				h.Push(int(to), nd)
-			}
-		}
-	}
-	return t
-}
-
 // SPFAAllCSRInto is negative-cycle detection from a virtual super-source
 // (all distances start at 0) under lw — the queue-based Bellman–Ford
 // variant, typically far faster than the pass-based scan on sparse graphs.

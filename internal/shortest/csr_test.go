@@ -40,32 +40,6 @@ func sameCycle(t *testing.T, label string, a, b graph.Cycle) {
 	}
 }
 
-// TestDijkstraCSRMatchesDigraph: on an unflipped view the CSR kernel is
-// bit-identical to the Digraph kernel, and a flipped view is rejected.
-func TestDijkstraCSRMatchesDigraph(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed + 200))
-		g := graph.New(20)
-		for i := 0; i < 70; i++ {
-			u, v := graph.NodeID(rng.Intn(20)), graph.NodeID(rng.Intn(20))
-			g.AddEdge(u, v, int64(rng.Intn(25)), int64(rng.Intn(25)))
-		}
-		c := graph.NewCSR(g)
-		s := graph.NodeID(seed % 20)
-		wsD, wsC := NewWorkspace(g.NumNodes()), NewWorkspace(g.NumNodes())
-		td := DijkstraInto(wsD, g, s, CostWeight)
-		tc := DijkstraCSRInto(wsC, c, s, LinCost)
-		sameTree(t, "dijkstra", td, tc)
-	}
-	c := randomView(1, 5, 10, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("DijkstraCSRInto accepted a flipped view")
-		}
-	}()
-	DijkstraCSRInto(NewWorkspace(5), c, 0, LinCost)
-}
-
 func TestLinWeightMatchesCombine(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 1000; i++ {

@@ -58,7 +58,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 			want := DijkstraInto(fresh(), g, s, CostWeight)
 			got := DijkstraInto(ws, g, s, CostWeight)
 			sameTree(t, "dijkstra", want, got)
-			sameTree(t, "dijkstraCSR", DijkstraCSRInto(fresh(), c, s, LinCost), DijkstraCSRInto(ws, c, s, LinCost))
 		}
 
 		wantT, wantCyc, wantOK := SPFAAllCSRInto(fresh(), c, LinCost, nil)
