@@ -60,9 +60,12 @@ perf-test:
 
 # -count=1 defeats the test cache: the race gate must actually re-execute
 # the concurrent suites (goroutine-leak guards, cache churn) every run, not
-# replay a cached pass from an earlier non-race-relevant change.
+# replay a cached pass from an earlier non-race-relevant change. krspd's
+# body memo is state every /solve handler reaches, so its concurrency test
+# runs ten more times.
 race:
 	$(GO) test -race -count=1 ./...
+	$(GO) test -race -count=10 -run '^TestMemoConcurrent$$' ./cmd/krspd
 
 # Short coverage-guided fuzz: SolveCtx (random instances, poll strides and
 # fault seeds must never panic or violate the delay bound), the instance

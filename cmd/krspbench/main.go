@@ -401,7 +401,7 @@ func suite() []bench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fp := solvecache.Fingerprint(ins, "solve", 0)
-				if _, st := cache.Get(fp, int64(i)); st != solvecache.Miss {
+				if _, st, _ := cache.Get(fp, int64(i)); st != solvecache.Miss {
 					b.Fatal("unexpected cache hit")
 				}
 				res, err := core.Solve(ins, core.Options{})

@@ -545,23 +545,31 @@ func TestStaleServedUnderDeadlinePressure(t *testing.T) {
 	s.cache.Put(fp, seeded, clock.Now())
 	clock.Advance(10) // lapse the 1ns TTL: the entry is now stale, not fresh
 
-	out, code := postSolve(t, hs, instancePayload(t, bounded),
-		map[string]string{deadlineMsHeader: "1"})
-	if code != http.StatusOK {
-		t.Fatalf("status %d, want 200 (stale beats 503)", code)
+	// The first post decodes the body and enters it in the memo; the
+	// second is a memo hit, which decodes only because it must solve.
+	// Both serve the stale entry, whose cache-hit event reports its age.
+	for try, memo := range []int64{0, 1} {
+		out, code := postSolve(t, hs, instancePayload(t, bounded),
+			map[string]string{deadlineMsHeader: "1"})
+		if code != http.StatusOK {
+			t.Fatalf("try %d: status %d, want 200 (stale beats 503)", try, code)
+		}
+		if !out.Stale || out.Cache != "stale" {
+			t.Fatalf("try %d: stale=%v cache=%q, want true/stale", try, out.Stale, out.Cache)
+		}
+		if out.Cost != seeded.Cost || out.Delay != seeded.Delay {
+			t.Fatalf("try %d: served %d/%d, want the seeded cache entry %d/%d", try, out.Cost, out.Delay, seeded.Cost, seeded.Delay)
+		}
+		if args, want := lastCacheHit(t, hs), [4]int64{2, 10, memo, 0}; args != want {
+			t.Fatalf("try %d: cache-hit args (state, ageNs, memo) = %v, want %v", try, args, want)
+		}
 	}
-	if !out.Stale || out.Cache != "stale" {
-		t.Fatalf("stale=%v cache=%q, want true/stale", out.Stale, out.Cache)
-	}
-	if out.Cost != seeded.Cost || out.Delay != seeded.Delay {
-		t.Fatalf("served %d/%d, want the seeded cache entry %d/%d", out.Cost, out.Delay, seeded.Cost, seeded.Delay)
-	}
-	if got := s.reg.Cluster.StaleServed.Value(); got != 1 {
-		t.Fatalf("krsp_cache_stale_served_total = %d, want 1", got)
+	if got := s.reg.Cluster.StaleServed.Value(); got != 2 {
+		t.Fatalf("krsp_cache_stale_served_total = %d, want 2", got)
 	}
 	// Without a cache entry the same pressure is a plain 503.
 	s.cache.Remove(fp)
-	_, code = postSolve(t, hs, instancePayload(t, bounded),
+	_, code := postSolve(t, hs, instancePayload(t, bounded),
 		map[string]string{deadlineMsHeader: "1"})
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("uncached status %d, want 503", code)

@@ -21,7 +21,10 @@
 //	                            exact, paths, degraded, deadlineMs,
 //	                            traceId, stats} plus, in cluster mode,
 //	                            {cache, stale, collapsed, route,
-//	                            degradedRoute} (DESIGN.md §14)
+//	                            degradedRoute} (DESIGN.md §14); a
+//	                            Server-Timing header lists the stages
+//	                            run (digest, decode, fingerprint, cache,
+//	                            proxy, solve)
 //	POST /feasible      body: instance → JSON {maxDisjoint, minDelay, ok}
 //	GET  /healthz       → 200 "ok"
 //	GET  /readyz        → JSON ring membership + peer health (§14)
@@ -37,6 +40,8 @@
 // readmission probing, and degraded local fallback. -cache N enables the
 // fingerprint solution cache (singleflight is always on); entries older
 // than -cache-ttl serve only as stale fallbacks under deadline pressure.
+// It also enables a body memo of the same capacity, which maps each
+// validated body to its fingerprint so a repeated body skips decode.
 //
 // Every solve runs with a flight recorder attached (DESIGN.md §13). The
 // dump of the last solve is always available at /debug/trace/last; with
@@ -86,7 +91,7 @@ func main() {
 	selfFlag := flag.String("self", "",
 		"this node's own address, spelled exactly as in -cluster")
 	cacheSize := flag.Int("cache", 0,
-		"fingerprint solution cache capacity in entries (0 disables)")
+		"fingerprint solution cache capacity in entries, also the body memo's (0 disables both)")
 	cacheTTL := flag.Duration("cache-ttl", time.Minute,
 		"cache freshness window; older entries serve only as stale fallbacks under deadline pressure")
 	hedge := flag.Duration("hedge", 0,

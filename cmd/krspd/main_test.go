@@ -230,6 +230,45 @@ func TestSolveBodyLimit(t *testing.T) {
 	}
 }
 
+// hashes is an endless stream of '#', the comment byte.
+type hashes struct{}
+
+func (hashes) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = '#'
+	}
+	return len(p), nil
+}
+
+// TestSolveDeclaredBodyTooLarge: a body whose Content-Length exceeds
+// -max-body gets its 413 before anything is allocated for it; a body of
+// unknown length still gets the same 413 from MaxBytesReader.
+func TestSolveDeclaredBodyTooLarge(t *testing.T) {
+	const limit, size = 8 << 20, 9 << 20
+	s, err := newServer(obs.New(&obs.ManualClock{}), discardLogger(), config{maxBody: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.handler()
+	wantMsg := fmt.Sprintf("body exceeds %d bytes\n", limit)
+	for _, declared := range []int64{size, -1} {
+		req := httptest.NewRequest(http.MethodPost, "/solve", io.LimitReader(hashes{}, size))
+		req.ContentLength = declared
+		rr := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		h.ServeHTTP(rr, req)
+		runtime.ReadMemStats(&after)
+		if rr.Code != http.StatusRequestEntityTooLarge || rr.Body.String() != wantMsg {
+			t.Fatalf("Content-Length %d: status %d %q, want 413 %q", declared, rr.Code, rr.Body.String(), wantMsg)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; declared > 0 && alloc >= 64<<10 {
+			t.Fatalf("declared %d-byte body allocated %d bytes before its 413, want < 64 KiB", declared, alloc)
+		}
+	}
+}
+
 // TestHugeNodeCountRejected: a body naming more than graph.MaxNodes nodes
 // is a 400 on both instance endpoints, not an allocation that could take
 // the process down.

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -95,6 +97,11 @@ type server struct {
 	// nil-safe no-ops when disabled.
 	cache *solvecache.Cache[cachedSolution]
 	group *solvecache.Group[cachedSolution]
+	// memo maps a request body this node has decoded and validated to its
+	// fingerprint, keyed by bodyKey, so a repeated body skips decode. It
+	// takes the cache's capacity, never goes stale, and is nil (no digest
+	// computed) when the cache is off.
+	memo *solvecache.Cache[memoEntry]
 	// clstr is the sharded-mode state (cluster.go); nil on single nodes.
 	clstr *clusterNode
 }
@@ -109,6 +116,7 @@ func newServer(reg *obs.Registry, logger *slog.Logger, cfg config) (*server, err
 	}
 	s.tracer = newTracer(registryClock{reg}, cfg.traceDir, cfg.traceSample)
 	s.cache = solvecache.NewCache[cachedSolution](cfg.cacheSize, cfg.cacheTTL.Nanoseconds())
+	s.memo = solvecache.NewCache[memoEntry](cfg.cacheSize, 0)
 	s.group = solvecache.NewGroup[cachedSolution]()
 	if len(cfg.peers) > 0 {
 		n, err := newClusterNode(cfg)
@@ -310,35 +318,49 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	ins, err := graph.ReadInstance(bytes.NewReader(raw))
-	if err != nil {
-		fail("bad instance: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := ins.Validate(); err != nil {
-		fail(err.Error(), http.StatusBadRequest)
-		return
-	}
-	// Algo and eps validate before fingerprinting: both are part of the
-	// cache identity.
 	epsQ := r.URL.Query().Get("eps")
-	var eps float64
-	switch algo {
-	case "solve", "phase1":
-	case "scaled":
-		eps = 0.25
-		if epsQ != "" {
-			eps, err = strconv.ParseFloat(epsQ, 64)
-			if err != nil || eps <= 0 {
-				fail("bad eps", http.StatusBadRequest)
-				return
-			}
-		}
-	default:
-		fail("unknown algo "+algo, http.StatusBadRequest)
-		return
+	timing := serverTiming{reg: s.reg}
+	reply := func(resp solveResponse) {
+		w.Header().Set("Server-Timing", string(timing.hdr))
+		s.writeJSON(w, resp)
 	}
-	n, m, k = ins.G.NumNodes(), ins.G.NumEdges(), ins.K
+	// A body this node has already decoded maps through the memo straight
+	// to its fingerprint. It is decoded again only to solve it here.
+	var key solvecache.FP
+	var req memoEntry
+	var memoHit int64 // the cache-hit event's memo argument
+	if s.memo != nil {
+		t0 := s.reg.Now()
+		key = bodyKey(algo, epsQ, raw)
+		if e, st, _ := s.memo.Get(key, t0); st != solvecache.Miss {
+			req, memoHit = e, 1
+		}
+		timing.stage("digest", "", t0)
+	}
+	var ins graph.Instance
+	decode := func() bool {
+		t0 := s.reg.Now()
+		var err error
+		ins, req.eps, err = decodeSolve(raw, algo, epsQ)
+		timing.stage("decode", "", t0)
+		if err != nil {
+			fail(err.Error(), http.StatusBadRequest)
+			return false
+		}
+		return true
+	}
+	if memoHit == 0 {
+		if !decode() {
+			return
+		}
+		t0 := s.reg.Now()
+		req.fp = solvecache.Fingerprint(ins, algo, req.eps)
+		timing.stage("fingerprint", "", t0)
+		req.n, req.m, req.k = ins.G.NumNodes(), ins.G.NumEdges(), ins.K
+		s.memo.Put(key, req, s.reg.Now())
+	}
+	fp, eps := req.fp, req.eps
+	n, m, k = req.n, req.m, req.k
 	ctx := r.Context()
 	if deadline > 0 {
 		var cancelCtx context.CancelFunc
@@ -360,18 +382,19 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			finishTrace(true)
 		}
 	}()
-	fp := solvecache.Fingerprint(ins, algo, eps)
 	cacheLabel := ""
 	if s.cache != nil {
-		cached, st := s.cache.Get(fp, s.reg.Now())
+		t0 := s.reg.Now()
+		cached, st, age := s.cache.Get(fp, t0)
+		timing.stage("cache", st.String(), t0)
 		s.cm.RecordCacheLookup(st == solvecache.Fresh)
 		if st == solvecache.Fresh {
-			flight.Record(rec.KindCacheHit, int64(st), 0, 0, 0)
+			flight.Record(rec.KindCacheHit, int64(st), age, memoHit, 0)
 			finishTrace(false)
 			outcome = "cache-hit"
 			resp := solutionResponse(id, cached, deadline, traceID)
 			resp.Cache = "hit"
-			s.writeJSON(w, resp)
+			reply(resp)
 			return
 		}
 		cacheLabel = "miss"
@@ -383,7 +406,10 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.clstr != nil {
 		route = "local"
 		if owner, isSelf := s.clstr.table.Owner(fp.Key64()); !isSelf && r.Header.Get(hopsHeader) == "" {
-			if resp, attempts, proxied := s.proxySolve(ctx, owner, raw, algo, epsQ, deadline, traceID, flight); proxied {
+			t0 := s.reg.Now()
+			resp, attempts, proxied := s.proxySolve(ctx, owner, raw, algo, epsQ, deadline, traceID, flight)
+			timing.stage("proxy", "", t0)
+			if proxied {
 				resp.RequestID = id
 				resp.TraceID = traceID
 				resp.Route = "proxy:" + owner
@@ -392,7 +418,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				}
 				finishTrace(false)
 				outcome = "proxied"
-				s.writeJSON(w, *resp)
+				reply(*resp)
 				return
 			} else {
 				// Owner unreachable after budgeted retries: solve here,
@@ -403,6 +429,12 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				flight.Record(rec.KindDegradedRoute, int64(attempts), 0, 0, 0)
 			}
 		}
+	}
+	// A memo hit decodes only now that it must solve here. The memo holds
+	// only bodies that decoded, so this cannot fail.
+	if memoHit == 1 && !decode() {
+		finishTrace(false)
+		return
 	}
 	opt := core.Options{Metrics: s.reg, Faults: s.cfg.faults, Recorder: flight, PollEvery: s.cfg.pollEvery}
 	runSolve := func() (cachedSolution, error) {
@@ -423,7 +455,9 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		return newCachedSolution(res, ins), nil
 	}
+	t0 := s.reg.Now()
 	sol, err, collapsed := s.group.Do(fp, runSolve)
+	timing.stage("solve", "", t0)
 	if collapsed {
 		s.cm.RecordCollapsed()
 		flight.Record(rec.KindSingleflight, 0, 0, 0, 0)
@@ -433,9 +467,9 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// a stale cache entry beats a 503 — the instance hasn't changed,
 		// only our time to recompute it has run out.
 		if errors.Is(err, core.ErrNoProgress) || errors.Is(err, solvecache.ErrLeaderFailed) {
-			if cached, st := s.cache.Get(fp, s.reg.Now()); st != solvecache.Miss {
+			if cached, st, age := s.cache.Get(fp, s.reg.Now()); st != solvecache.Miss {
 				s.cm.RecordStaleServed()
-				flight.Record(rec.KindCacheHit, int64(st), 0, 0, 0)
+				flight.Record(rec.KindCacheHit, int64(st), age, memoHit, 0)
 				finishTrace(true)
 				outcome = "stale-served"
 				resp := solutionResponse(id, cached, deadline, traceID)
@@ -443,7 +477,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				resp.Stale = true
 				resp.Route = route
 				resp.DegradedRoute = degradedRoute
-				s.writeJSON(w, resp)
+				reply(resp)
 				return
 			}
 		}
@@ -475,15 +509,95 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	resp.Collapsed = collapsed
 	resp.Route = route
 	resp.DegradedRoute = degradedRoute
-	s.writeJSON(w, resp)
+	reply(resp)
+}
+
+// memoEntry is what one validated /solve body decodes to: the fingerprint
+// and ε its answer is keyed by, and the instance shape for the request log.
+type memoEntry struct {
+	fp      solvecache.FP
+	eps     float64
+	n, m, k int
+}
+
+// bodyKey is the memo key of a /solve request: SHA-256 over the normalized
+// algo, the raw eps query and the raw body, each string length-prefixed so
+// that no two requests feed the hash the same bytes, truncated to an FP. A
+// cryptographic hash, because a collision would hand one instance's cached
+// answer to a different body.
+func bodyKey(algo, epsQ string, body []byte) solvecache.FP {
+	h := sha256.New()
+	var buf [sha256.Size]byte
+	for _, q := range [2]string{algo, epsQ} {
+		h.Write(binary.BigEndian.AppendUint64(buf[:0], uint64(len(q))))
+		h.Write([]byte(q))
+	}
+	h.Write(body)
+	sum := h.Sum(buf[:0])
+	return solvecache.FP{Hi: binary.BigEndian.Uint64(sum[:8]), Lo: binary.BigEndian.Uint64(sum[8:16])}
+}
+
+// decodeSolve parses and validates a /solve body and checks algo and eps,
+// which are part of the cache identity. An error is the 400 message.
+func decodeSolve(raw []byte, algo, epsQ string) (graph.Instance, float64, error) {
+	ins, err := graph.ReadInstance(bytes.NewReader(raw))
+	if err != nil {
+		return graph.Instance{}, 0, errors.New("bad instance: " + err.Error())
+	}
+	if err := ins.Validate(); err != nil {
+		return graph.Instance{}, 0, err
+	}
+	var eps float64
+	switch algo {
+	case "solve", "phase1":
+	case "scaled":
+		eps = 0.25
+		if epsQ != "" {
+			eps, err = strconv.ParseFloat(epsQ, 64)
+			if err != nil || eps <= 0 {
+				return graph.Instance{}, 0, errors.New("bad eps")
+			}
+		}
+	default:
+		return graph.Instance{}, 0, errors.New("unknown algo " + algo)
+	}
+	return ins, eps, nil
+}
+
+// serverTiming builds a /solve response's Server-Timing header
+// (https://www.w3.org/TR/server-timing/): one entry per stage the request
+// ran, in milliseconds on the registry clock.
+type serverTiming struct {
+	reg *obs.Registry
+	hdr []byte
+}
+
+// stage appends the entry for a stage that began at start and ends now.
+func (t *serverTiming) stage(name, desc string, start int64) {
+	if len(t.hdr) > 0 {
+		t.hdr = append(t.hdr, ", "...)
+	}
+	t.hdr = append(t.hdr, name...)
+	if desc != "" {
+		t.hdr = append(t.hdr, `;desc="`...)
+		t.hdr = append(t.hdr, desc...)
+		t.hdr = append(t.hdr, '"')
+	}
+	t.hdr = append(t.hdr, ";dur="...)
+	t.hdr = strconv.AppendFloat(t.hdr, float64(t.reg.Now()-start)/1e6, 'f', 3, 64)
 }
 
 // readBody reads the size-capped request body whole, mapping an over-limit
-// read to 413. The buffer is sized once from Content-Length, capped at the
-// body limit; a body of unknown length grows it as it arrives.
+// body to 413. A declared length past the limit is refused before anything
+// is allocated for it; otherwise the buffer is sized once from
+// Content-Length, and a body of unknown length grows it as it arrives.
 func (s *server) readBody(w http.ResponseWriter, r *http.Request, fail func(string, int)) ([]byte, bool) {
+	if r.ContentLength > s.cfg.maxBody {
+		fail(fmt.Sprintf("body exceeds %d bytes", s.cfg.maxBody), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
 	var buf bytes.Buffer
-	if n := min(r.ContentLength, s.cfg.maxBody); n > 0 {
+	if n := r.ContentLength; n > 0 {
 		buf.Grow(int(n) + bytes.MinRead) // MinRead: room for the read that sees EOF
 	}
 	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.maxBody)); err != nil {

@@ -65,8 +65,9 @@ const (
 	// (fault.Point value).
 	KindFaultHit
 	// KindCacheHit is a solve answered from the fingerprint cache: the
-	// entry's State (solvecache fresh=1/stale=2) and its age in
-	// nanoseconds.
+	// entry's State (solvecache fresh=1/stale=2), its age in nanoseconds,
+	// and memo: 1 when krspd's body memo supplied the fingerprint, 0 when
+	// the request decoded its body.
 	KindCacheHit
 	// KindSingleflight is a solve collapsed onto an identical in-flight
 	// solve's result instead of running its own.
@@ -206,7 +207,7 @@ var kinds = [NumKinds]KindInfo{
 	},
 	KindCacheHit: {
 		Name: "cache-hit",
-		Args: [4]string{"state", "ageNs", "", ""},
+		Args: [4]string{"state", "ageNs", "memo", ""},
 		Doc:  "solve answered from the fingerprint cache",
 	},
 	KindSingleflight: {

@@ -75,29 +75,29 @@ func NewCache[V any](capacity int, ttlNs int64) *Cache[V] {
 
 // Get looks up fp at monotonic time now, promoting a found entry to most
 // recently used. The value is returned for both Fresh and Stale states;
-// the caller decides whether a stale answer is acceptable.
-func (c *Cache[V]) Get(fp FP, now int64) (V, State) {
+// the caller decides whether a stale answer is acceptable. ageNs is now
+// minus the entry's last Put time (0 on a Miss).
+func (c *Cache[V]) Get(fp FP, now int64) (v V, st State, ageNs int64) {
 	if c == nil {
-		var zero V
-		return zero, Miss
+		return v, Miss, 0
 	}
 	c.mu.Lock()
 	e, ok := c.entries[fp]
 	if !ok {
 		c.mu.Unlock()
-		var zero V
-		return zero, Miss
+		return v, Miss, 0
 	}
 	c.unlink(e)
 	c.pushFront(e)
 	// Staleness is decided under the lock: c.ttl is guarded state, and
 	// reading it after Unlock would race a concurrent reconfiguration.
-	v, stale := e.v, c.ttl > 0 && now-e.stored > c.ttl
+	v, ageNs = e.v, now-e.stored
+	stale := c.ttl > 0 && ageNs > c.ttl
 	c.mu.Unlock()
 	if stale {
-		return v, Stale
+		return v, Stale, ageNs
 	}
-	return v, Fresh
+	return v, Fresh, ageNs
 }
 
 // Put stores v under fp with storage time now, evicting the least recently

@@ -175,23 +175,23 @@ func TestCacheLRU(t *testing.T) {
 	c := NewCache[int](2, 0)
 	c.Put(fpOf(1), 100, 0)
 	c.Put(fpOf(2), 200, 1)
-	if v, st := c.Get(fpOf(1), 2); st != Fresh || v != 100 {
+	if v, st, _ := c.Get(fpOf(1), 2); st != Fresh || v != 100 {
 		t.Fatalf("get 1 = %d/%v", v, st)
 	}
 	// 1 is now MRU; inserting 3 evicts 2.
 	c.Put(fpOf(3), 300, 3)
-	if _, st := c.Get(fpOf(2), 4); st != Miss {
+	if _, st, _ := c.Get(fpOf(2), 4); st != Miss {
 		t.Fatalf("2 should have been evicted, got %v", st)
 	}
-	if v, st := c.Get(fpOf(1), 5); st != Fresh || v != 100 {
+	if v, st, _ := c.Get(fpOf(1), 5); st != Fresh || v != 100 {
 		t.Fatalf("1 lost: %d/%v", v, st)
 	}
-	if v, st := c.Get(fpOf(3), 6); st != Fresh || v != 300 {
+	if v, st, _ := c.Get(fpOf(3), 6); st != Fresh || v != 300 {
 		t.Fatalf("3 lost: %d/%v", v, st)
 	}
 	// Overwrite in place.
 	c.Put(fpOf(3), 333, 7)
-	if v, _ := c.Get(fpOf(3), 8); v != 333 {
+	if v, _, _ := c.Get(fpOf(3), 8); v != 333 {
 		t.Fatalf("overwrite lost: %d", v)
 	}
 	if c.Len() != 2 {
@@ -202,16 +202,19 @@ func TestCacheLRU(t *testing.T) {
 func TestCacheTTL(t *testing.T) {
 	c := NewCache[string](4, 100)
 	c.Put(fpOf(1), "v", 1000)
-	if _, st := c.Get(fpOf(1), 1050); st != Fresh {
-		t.Fatalf("within TTL: %v", st)
+	if _, st, age := c.Get(fpOf(1), 1050); st != Fresh || age != 50 {
+		t.Fatalf("within TTL: %v aged %d, want hit aged 50", st, age)
 	}
-	if v, st := c.Get(fpOf(1), 1200); st != Stale || v != "v" {
-		t.Fatalf("past TTL: %q/%v, want stale value", v, st)
+	if v, st, age := c.Get(fpOf(1), 1200); st != Stale || v != "v" || age != 200 {
+		t.Fatalf("past TTL: %q/%v aged %d, want stale value aged 200", v, st, age)
 	}
-	// A fresh Put restarts the freshness clock.
+	// A fresh Put restarts the freshness clock, and with it the age.
 	c.Put(fpOf(1), "v2", 1200)
-	if v, st := c.Get(fpOf(1), 1250); st != Fresh || v != "v2" {
-		t.Fatalf("after re-put: %q/%v", v, st)
+	if v, st, age := c.Get(fpOf(1), 1250); st != Fresh || v != "v2" || age != 50 {
+		t.Fatalf("after re-put: %q/%v aged %d", v, st, age)
+	}
+	if _, st, age := c.Get(fpOf(2), 1250); st != Miss || age != 0 {
+		t.Fatalf("absent entry: %v aged %d, want a miss aged 0", st, age)
 	}
 	if Fresh.String() != "hit" || Stale.String() != "stale" || Miss.String() != "miss" {
 		t.Fatal("State strings are part of the response contract")
@@ -226,15 +229,15 @@ func TestCacheTTL(t *testing.T) {
 func TestCacheTTLBoundary(t *testing.T) {
 	c := NewCache[string](2, 100)
 	c.Put(fpOf(1), "v", 1000)
-	if _, st := c.Get(fpOf(1), 1100); st != Fresh {
+	if _, st, _ := c.Get(fpOf(1), 1100); st != Fresh {
 		t.Fatalf("age == ttl: %v, want hit", st)
 	}
-	if _, st := c.Get(fpOf(1), 1101); st != Stale {
+	if _, st, _ := c.Get(fpOf(1), 1101); st != Stale {
 		t.Fatalf("age == ttl+1: %v, want stale", st)
 	}
 	forever := NewCache[string](2, 0)
 	forever.Put(fpOf(1), "v", 0)
-	if _, st := forever.Get(fpOf(1), 1<<62); st != Fresh {
+	if _, st, _ := forever.Get(fpOf(1), 1<<62); st != Fresh {
 		t.Fatalf("ttl 0 must never go stale: %v", st)
 	}
 }
@@ -259,7 +262,7 @@ func TestCacheConcurrentChurn(t *testing.T) {
 				case 0:
 					c.Put(fp, k, int64(i))
 				case 1:
-					if v, st := c.Get(fp, int64(i)); st != Miss && v != k {
+					if v, st, _ := c.Get(fp, int64(i)); st != Miss && v != k {
 						t.Errorf("fp %d returned value %d", k, v)
 						return
 					}
@@ -278,12 +281,12 @@ func TestCacheRemoveAndNil(t *testing.T) {
 	c := NewCache[int](2, 0)
 	c.Put(fpOf(1), 1, 0)
 	c.Remove(fpOf(1))
-	if _, st := c.Get(fpOf(1), 1); st != Miss {
+	if _, st, _ := c.Get(fpOf(1), 1); st != Miss {
 		t.Fatalf("after remove: %v", st)
 	}
 	c.Remove(fpOf(9)) // no-op
 	var nilc *Cache[int]
-	if _, st := nilc.Get(fpOf(1), 0); st != Miss {
+	if _, st, _ := nilc.Get(fpOf(1), 0); st != Miss {
 		t.Fatal("nil cache must miss")
 	}
 	nilc.Put(fpOf(1), 1, 0)
@@ -305,7 +308,7 @@ func TestCacheSteadyStateAllocs(t *testing.T) {
 	c.Put(fp, 1, 0)
 	c.Remove(fp)
 	if allocs := testing.AllocsPerRun(200, func() {
-		if _, st := c.Get(fp, 0); st != Miss {
+		if _, st, _ := c.Get(fp, 0); st != Miss {
 			t.Fatal("expected miss")
 		}
 		c.Put(fp, 7, 0)

@@ -2,10 +2,13 @@
 // and serves repeated solves from an LRU cache, collapsing identical
 // in-flight solves through a singleflight group. It is the memory layer of
 // krspd's cluster mode (DESIGN.md §14): the fingerprint decides which node
-// owns an instance, the cache turns re-solves of hot instances into sub-ms
+// owns an instance, the cache turns re-solves of hot instances into
 // lookups, and the singleflight group sheds redundant work under request
 // storms — a cache hit or a collapsed waiter is one less multi-second solve
-// competing for the admission semaphore.
+// competing for the admission semaphore. The lookup is a map access under
+// one mutex; what a krspd hit costs beyond it grows with the body (read
+// and digested on every request, decoded only on first sight), measured at
+// N=5k in DESIGN.md §14.
 //
 // Package contracts:
 //
