@@ -70,11 +70,14 @@ race:
 # Short coverage-guided fuzz: SolveCtx (random instances, poll strides and
 # fault seeds must never panic or violate the delay bound), the instance
 # parser against its line-scanner reference (same error text or the same
-# instance on every input) and the lint directive parsers (arbitrary
-# comment text must parse fully or error, never half-succeed).
+# instance on every input), the priority queue against its linear-scan
+# oracle (same (item, key) from every Pop under the monotone push rule) and
+# the lint directive parsers (arbitrary comment text must parse fully or
+# error, never half-succeed).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSolveCtx$$' -fuzztime 10s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadInstance$$' -fuzztime 10s ./internal/graph/
+	$(GO) test -run '^$$' -fuzz '^FuzzHeapMatchesSpec$$' -fuzztime 10s ./internal/pq/
 	$(GO) test -run '^$$' -fuzz '^FuzzDirectiveParser$$' -fuzztime 5s ./internal/lint/
 
 # -short skips the large tier (bench_large_test.go); bench-large covers it.

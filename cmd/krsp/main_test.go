@@ -3,15 +3,18 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs/rec"
+	"repro/internal/rsp"
 )
 
 func writeInstanceFile(t *testing.T) string {
@@ -144,6 +147,35 @@ func TestRunErrors(t *testing.T) {
 		if _, err := run(args, &out); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
+	}
+}
+
+// TestRunGreedyHugeBound: `krsp -algo greedy` on a 4-node instance with
+// delay bound 2^40 fails with an error (exit 1) instead of asking the
+// runtime for the (bound+1)·n layered graph of its restricted shortest
+// path, which ended the process with a fatal out-of-memory error.
+func TestRunGreedyHugeBound(t *testing.T) {
+	g := graph.New(4)
+	g.AddEdge(0, 1, 1, 10)
+	g.AddEdge(1, 3, 1, 10)
+	g.AddEdge(0, 2, 5, 1)
+	g.AddEdge(2, 3, 5, 1)
+	ins := graph.Instance{G: g, S: 0, T: 3, K: 2, Bound: 1 << 40, Name: "huge bound"}
+	path := filepath.Join(t.TempDir(), "huge.krsp")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := graph.WriteInstance(f, ins); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	_, err = run([]string{"-algo", "greedy", path}, &out)
+	if !errors.Is(err, baseline.ErrFailed) || !strings.Contains(err.Error(), rsp.ErrTooLarge.Error()) {
+		t.Fatalf("krsp -algo greedy with bound 2^40: err = %v, want a greedy failure citing %q", err, rsp.ErrTooLarge)
 	}
 }
 

@@ -22,7 +22,9 @@ import (
 // not by the queue: each round's Dijkstra settles vertices in (reduced
 // distance, vertex ID) order (pq.Heap's pop order), relaxes a vertex's
 // forward arcs from OutRow and then its cancelling arcs from InRow, both
-// ID-ascending, and augments along the resulting tree path to t. A
+// ID-ascending, and augments along the resulting tree path to t. The InRow
+// scan is skipped at a vertex none of whose out-edges carries flow, since
+// no flow then enters it either (MinCostKFlow gives the argument). A
 // linear-scan kernel of the same rule is kept in this package's tests as
 // the specification. Not safe for concurrent use; one solver per
 // goroutine.
@@ -69,6 +71,13 @@ func NewKFlowSolver(c *graph.CSR) *KFlowSolver {
 // min(d(v), d(t)) ≤ min(d(u), d(t)) + rw(u,v), and the arcs the
 // augmentation reverses lie on a shortest path, so reduced weights stay
 // nonnegative and each round augments along a shortest path.
+//
+// A settled vertex scans its InRow for cancelling arcs only when one of its
+// OutRow edges carries flow. That skips no arc: at a vertex other than s
+// and t, flow conservation under unit capacities makes an edge into it
+// carry flow iff an edge out of it does; no flow ever enters s, because
+// every augmenting path is a tree path that starts at s; and t's rows are
+// never scanned, since each round stops when t settles.
 func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWeight, m *obs.FlowMetrics, c *cancel.Canceller) (UnitFlow, error) {
 	if k < 0 {
 		return UnitFlow{}, fmt.Errorf("flow: negative k=%d", k)
@@ -110,8 +119,10 @@ func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWei
 			if u == t {
 				break
 			}
+			carries := false
 			for _, id := range cs.OutRow(u) {
 				if inFlow[id] {
+					carries = true
 					continue
 				}
 				to := cs.Head(id)
@@ -129,6 +140,9 @@ func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWei
 					h.Push(int(to), nd)
 					relaxed++
 				}
+			}
+			if !carries {
+				continue // no flow enters u either (see the doc comment)
 			}
 			for _, id := range cs.InRow(u) {
 				if !inFlow[id] {

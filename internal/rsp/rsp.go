@@ -8,6 +8,7 @@ package rsp
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/graph"
 	"repro/internal/pq"
@@ -16,6 +17,21 @@ import (
 
 // ErrInfeasible reports that no s→t path satisfies the delay bound.
 var ErrInfeasible = errors.New("rsp: no path within delay bound")
+
+// ErrTooLarge reports that the delay-layered graph of a query would have
+// more than MaxLayeredStates states.
+var ErrTooLarge = errors.New("rsp: delay-layered graph too large")
+
+// MaxLayeredStates caps the (bound+1)·n states of ExactDP's layered graph.
+// Each state costs about 41 bytes (distance, parent edge, parent layer,
+// settled flag and a queue slot), so 2^24 states is about 690 MB, the most
+// one baseline query should take; it is also far below math.MaxInt32, the
+// queue's item universe. The cap admits every query of the cmd/krsp
+// goldens (at most 2,624 states), the krspexp experiments (1,488) and the
+// greedy baseline on `krspgen -n 30 -k 2` instances of all five
+// topologies, whose largest, a 30×30 grid with bound 527, needs 475,200
+// (under 2^19).
+const MaxLayeredStates = 1 << 24
 
 // Result is a solved RSP query.
 type Result struct {
@@ -41,7 +57,7 @@ func (l *layered) at(b int64, v graph.NodeID) int { return int(b)*l.n + int(v) }
 
 func runLayered(g *graph.Digraph, s graph.NodeID, cap int64) *layered {
 	n := g.NumNodes()
-	size := (cap + 1) * int64(n)
+	size := (cap + 1) * int64(n) // ExactDP has capped it at MaxLayeredStates
 	l := &layered{cap: cap, n: n,
 		dist:   make([]int64, size),
 		parent: make([]graph.EdgeID, size),
@@ -123,10 +139,18 @@ func (l *layered) pathTo(g *graph.Digraph, v graph.NodeID, b int64) graph.Path {
 }
 
 // ExactDP solves RSP exactly in O((D+1)·m·log((D+1)·n)) time via Dijkstra
-// over the delay-layered graph. Pseudo-polynomial in D.
+// over the delay-layered graph. Pseudo-polynomial in D: a query whose
+// layered graph would exceed MaxLayeredStates states returns ErrTooLarge
+// before anything is allocated.
 func ExactDP(g *graph.Digraph, s, t graph.NodeID, bound int64) (Result, error) {
 	if bound < 0 {
 		return Result{}, ErrInfeasible
+	}
+	n := g.NumNodes()
+	// bound ≤ math.MaxInt64, so bound+1 fits a uint64 and the 128-bit
+	// product cannot wrap.
+	if hi, size := bits.Mul64(uint64(bound)+1, uint64(n)); hi != 0 || size > MaxLayeredStates {
+		return Result{}, fmt.Errorf("%w: bound %d on %d nodes needs (bound+1)·n > %d states", ErrTooLarge, bound, n, MaxLayeredStates)
 	}
 	l := runLayered(g, s, bound)
 	b, cost := l.best(t)

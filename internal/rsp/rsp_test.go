@@ -2,7 +2,9 @@ package rsp
 
 import (
 	"errors"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -48,6 +50,31 @@ func TestExactDPTradeoff(t *testing.T) {
 		}
 		if res.Path.Cost(g) != res.Cost || res.Path.Delay(g) != res.Delay {
 			t.Fatal("metrics inconsistent with path")
+		}
+	}
+}
+
+// TestExactDPRejectsHugeBound checks that a bound whose layered graph
+// exceeds MaxLayeredStates is an error, not an allocation: with bound 2^40
+// on 4 nodes the layered arrays would need 35 TB, which the runtime cannot
+// allocate and cannot recover from. The product overflowing int64 and a
+// query one layer over the cap are rejected the same way.
+func TestExactDPRejectsHugeBound(t *testing.T) {
+	g := graph.New(4)
+	g.AddEdge(0, 1, 1, 10)
+	g.AddEdge(1, 3, 1, 10)
+	g.AddEdge(0, 2, 5, 1)
+	g.AddEdge(2, 3, 5, 1)
+	for _, bound := range []int64{1 << 40, math.MaxInt64, MaxLayeredStates / 4} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ExactDP(g, 0, 3, bound)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrTooLarge) {
+			t.Fatalf("bound %d: err = %v, want ErrTooLarge", bound, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("bound %d: rejected query allocated %d bytes", bound, alloc)
 		}
 	}
 }
