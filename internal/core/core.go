@@ -221,21 +221,25 @@ const probeLimit = 1 << 60
 // Phase 1 calls it before every min-cost-flow call, with the graph's total
 // cost and delay and the probe's nonnegative weighting.
 //
-// W ≤ 2^60 keeps every int64 the probe computes within ±3·2^60, inside
-// int64. Each edge weight is at most W, and a flow weight or a simple
+// W ≤ 2^60 keeps every int64 the probe computes inside int64, within
+// ±6·2^60. Each edge weight is at most W, and a flow weight or a simple
 // residual path length, a signed sum over distinct edges, lies in [−W, W].
-// Potentials start at 0, and each round's capped update adds
-// min(d(v), d(t)) ≥ 0, where d is the round's reduced distance from s.
-// pot[s] stays 0, so afterwards pot[t] is the residual s→t distance, a
-// simple residual path's length in [0, W]; and if pot[v] ≤ pot[t] held
-// before the round it holds after, because min(d(v), d(t)) ≤ d(t). By
-// induction every potential lies in [0, W]. A reduced weight
-// ±w + pot[u] − pot[v] and its partial sum then lie in [−2W, 2W]. A
-// settled vertex's reduced distance du lies in [0, d(t)], and
-// d(t) ≤ pot[t] + d(t), the residual s→t distance, ≤ W; so a tentative
-// distance du + rw stays in [−2W, 3W]. Finally p·D ≤ p·Σdelay ≤ W,
-// because the λ search runs only when the min-cost flow's delay, at most
-// Σdelay, exceeds D; so wf − p·D lies in [−W, W].
+// Potentials start at 0 and may go negative: round i of the min-cost flow
+// moves each potential by f(v) − cap, which lies in [−μ_i, μ_i], where
+// μ_i ≥ 0 is the round's reduced s→t distance. The repair is exact on the
+// augmenting path, so pot[t] − pot[s] grows by μ_i per round, and μ_1 + …
+// + μ_i is round i's unreduced residual s→t distance, a simple residual
+// path's length, at most W. So every potential lies in [−W, W], and a
+// reduced weight ±w + pot[u] − pot[v] lies in [−3W, 3W]. A label of either
+// search is the reduced length of a simple residual path (a tree path, or
+// one plus an arc to a vertex the search has not popped): its unreduced
+// length plus two potentials, in [0, 3W], since reduced weights are
+// nonnegative. The kernel's sums of two labels (meetings, and the stop
+// test lastF + lastB) then lie in [0, 6W], and μ − distB[v] in [−3W, 3W].
+// Finally p·D ≤ p·Σdelay ≤ W, because the λ search runs only when the
+// min-cost flow's delay, at most Σdelay, exceeds D; so wf − p·D lies in
+// [−W, W]. TestKFlowSolverAtProbeLimit (internal/flow) runs the kernel at
+// W = 2^60 exactly.
 func checkProbe(sumCost, sumDelay int64, lw shortest.LinWeight) error {
 	hc, wc := bits.Mul64(uint64(lw.Q), uint64(sumCost))
 	hd, wd := bits.Mul64(uint64(lw.P), uint64(sumDelay))

@@ -15,34 +15,45 @@ import (
 // reusable scratch: it is the package's one min-cost-flow kernel
 // (MinCostKFlow wraps a fresh one). Phase 1 calls min-cost flow ~10 times
 // per solve (two endpoint flows plus the Lagrangian iterations) on the SAME
-// graph; a solver instance hoists the potential, distance, parent and heap
+// graph; a solver instance hoists the potential, label, parent and queue
 // arrays out of those calls, so a call allocates only its UnitFlow result.
 //
 // Which of several optimal flows it returns is fixed by a written rule,
-// not by the queue: each round's Dijkstra settles vertices in (reduced
-// distance, vertex ID) order (pq.Heap's pop order), relaxes a vertex's
-// forward arcs from OutRow and then its cancelling arcs from InRow, both
-// ID-ascending, and augments along the resulting tree path to t. The InRow
-// scan is skipped at a vertex none of whose out-edges carries flow, since
-// no flow then enters it either (MinCostKFlow gives the argument). A
-// linear-scan kernel of the same rule is kept in this package's tests as
-// the specification. Not safe for concurrent use; one solver per
-// goroutine.
+// not by the queue. Round 1 is a Dijkstra from s; every later round is a
+// balanced bidirectional Dijkstra, one search from s over the residual
+// arcs and one from t over the same arcs reversed, each popping vertices in
+// (reduced label, vertex ID) order (pq.Heap's pop order) and the side with
+// fewer pops stepping next. A forward step relaxes a vertex's unused OutRow
+// edges and then its used InRow edges (cancelling arcs), a backward step
+// its unused InRow edges and then its used OutRow edges, all ID-ascending;
+// the second scan of each runs only where flow passes through the vertex.
+// MinCostKFlow states the meeting, stop and repair rules, and DESIGN.md §7
+// proves them. A linear-scan kernel of the same rule is kept in this
+// package's tests as the specification. Not safe for concurrent use; one
+// solver per goroutine.
 type KFlowSolver struct {
-	c       *graph.CSR
-	inFlow  []bool
-	pot     []int64
-	dist    []int64
-	parent  []arc
-	settled []bool
-	h       *pq.Heap
-	fr      *rec.Recorder
+	c      *graph.CSR
+	inFlow []bool
+	// pot, distF and distB share one []int64 slab, and parF and parB one
+	// []graph.EdgeID slab: a vertex's potential, its labels from s and
+	// from t, and the edges those labels came by.
+	pot, distF, distB []int64
+	parF, parB        []graph.EdgeID
+	mark              []uint8 // poppedF | poppedB bits, cleared between rounds
+	hf, hb            pq.Heap // the queues from s and from t
+	fr                *rec.Recorder
 }
 
+// A vertex's mark bits: which searches of the current round popped it.
+const (
+	poppedF uint8 = 1 << iota // popped by the search from s
+	poppedB                   // popped by the search from t
+)
+
 // SetRecorder attaches a flight recorder; each augmentation round then
-// records one augment event (round index, s→t reduced distance, vertices
-// settled). Nil (the default) records nothing and costs one dead branch per
-// round.
+// records one augment event (round index, s→t reduced distance μ, and the
+// pops of its searches from s and from t). Nil (the default) records
+// nothing and costs one dead branch per round.
 func (kf *KFlowSolver) SetRecorder(r *rec.Recorder) { kf.fr = r }
 
 // NewKFlowSolver returns a solver bound to the view. The view must not be
@@ -50,34 +61,60 @@ func (kf *KFlowSolver) SetRecorder(r *rec.Recorder) { kf.fr = r }
 // checks and panics to keep the contract loud).
 func NewKFlowSolver(c *graph.CSR) *KFlowSolver {
 	n := c.NumNodes()
-	return &KFlowSolver{
-		c:       c,
-		inFlow:  make([]bool, c.NumEdges()),
-		pot:     make([]int64, n),
-		dist:    make([]int64, n),
-		parent:  make([]arc, n),
-		settled: make([]bool, n),
-		h:       pq.New(n),
+	labels := make([]int64, 3*n)
+	parents := make([]graph.EdgeID, 2*n)
+	kf := &KFlowSolver{
+		c:      c,
+		inFlow: make([]bool, c.NumEdges()),
+		pot:    labels[:n:n],
+		distF:  labels[n : 2*n : 2*n],
+		distB:  labels[2*n:],
+		parF:   parents[:n:n],
+		parB:   parents[n:],
+		mark:   make([]uint8, n),
 	}
+	kf.hf.Grow(n)
+	kf.hb.Grow(n)
+	return kf
 }
 
 // MinCostKFlow computes a minimum-weight integral s→t flow of value k under
 // unit capacities over the solver's CSR view, by successive shortest paths
 // with Johnson potentials. Weights must be nonnegative. Potentials start at
-// zero, so the first round is a plain Dijkstra, and every round stops once
-// t settles. Between rounds a capped repair adds min(d(v), d(t)) to each
-// potential, where d is the round's reduced distance: d(v) for the settled
-// vertices, d(t) for the rest. For every residual arc (u,v),
-// min(d(v), d(t)) ≤ min(d(u), d(t)) + rw(u,v), and the arcs the
-// augmentation reverses lie on a shortest path, so reduced weights stay
-// nonnegative and each round augments along a shortest path.
+// zero, so round 1 is a plain Dijkstra from s; in it t counts as popped
+// from t, with label 0.
 //
-// A settled vertex scans its InRow for cancelling arcs only when one of its
-// OutRow edges carries flow. That skips no arc: at a vertex other than s
+// Rounds 2..k search from both ends. s starts in the forward queue and t in
+// the backward one, both at label 0, and each step pops from the side with
+// fewer pops so far, ties going forward. The backward side relaxes the
+// residual arcs into the popped vertex v, with v's label plus the arc's
+// reduced weight as the label of the arc's tail. Both sides skip vertices
+// they have popped and relax only on strict improvement. Whenever a label
+// improves at a vertex x that has a label from the other side, the sum of
+// the two is a meeting; the least so far, found first, is μ at x. Right
+// after each pop, before its relaxations, the round stops if
+// lastF + lastB ≥ μ, the last popped labels of the two sides; then μ is the
+// residual s→t distance, and the round augments along x's forward parent
+// chain back to s and its backward chain on to t, a simple path. A queue
+// that empties first means t is unreachable: μ = ∞ then, since popping t
+// forward or s backward always stops the round.
+//
+// The repair: with cap = min(lastF, μ), each vertex v gets
+// f(v) = max(min(cap, distF[v]), μ − distB[v]), taking the first term's
+// distF only where the forward side popped v and the second term only
+// where the backward side did, and pot[v] += f(v) − cap. So a vertex
+// neither side popped keeps its potential. f is the max of two feasible
+// shifts, capped distances from s and μ minus distances to t, and it is
+// exact on the path, so reduced weights stay nonnegative and the reversed
+// path arcs get reduced weight 0 (DESIGN.md §7 has the proofs).
+//
+// A popped vertex scans its second row for cancelling arcs only where flow
+// passes through it: the forward side reads its InRow only when one of its
+// OutRow edges carries flow, and the backward side its OutRow only when
+// one of its InRow edges does. That skips no arc: at a vertex other than s
 // and t, flow conservation under unit capacities makes an edge into it
-// carry flow iff an edge out of it does; no flow ever enters s, because
-// every augmenting path is a tree path that starts at s; and t's rows are
-// never scanned, since each round stops when t settles.
+// carry flow iff an edge out of it does; and t is never relaxed forward,
+// nor s backward, since popping either stops the round.
 func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWeight, m *obs.FlowMetrics, c *cancel.Canceller) (UnitFlow, error) {
 	if k < 0 {
 		return UnitFlow{}, fmt.Errorf("flow: negative k=%d", k)
@@ -90,100 +127,185 @@ func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWei
 	var rounds, relaxed int64
 	n := cs.NumNodes()
 	inFlow := kf.inFlow[:cs.NumEdges()]
-	for i := range inFlow {
-		inFlow[i] = false
+	clear(inFlow)
+	pot, distF, distB := kf.pot[:n], kf.distF[:n], kf.distB[:n]
+	parF, parB, mark := kf.parF[:n], kf.parB[:n], kf.mark[:n]
+	hf, hb := &kf.hf, &kf.hb
+	clear(pot)
+	clear(mark)
+	for v := range distF {
+		distF[v], distB[v] = shortest.Inf, shortest.Inf
 	}
-	pot, dist, parent, settled, h := kf.pot[:n], kf.dist[:n], kf.parent[:n], kf.settled[:n], kf.h
-	for v := range pot {
-		pot[v] = 0
-	}
+	used := 0 // edges carrying flow
 	for it := 0; it < k; it++ {
-		for v := range dist {
-			dist[v] = shortest.Inf
-			parent[v] = arc{edge: -1}
-			settled[v] = false
+		both := it > 0 // round 1 searches from s only
+		hf.Reset()
+		hb.Reset()
+		distF[s], distB[t] = 0, 0
+		hf.Push(int(s), 0)
+		if both {
+			hb.Push(int(t), 0)
+		} else {
+			mark[t] = poppedB
 		}
-		dist[s] = 0
-		h.Reset()
-		h.Push(int(s), 0)
-		var reached int64
-		for h.Len() > 0 {
+		mu, meet := int64(shortest.Inf), graph.NodeID(-1)
+		if s == t { // the seeds' labels meet
+			mu, meet = 0, s
+		}
+		var lastF, lastB, popsF, popsB int64
+		for hf.Len() > 0 && (!both || hb.Len() > 0) {
 			if c.Poll() {
 				recordFlow(m, rounds, relaxed, false)
 				return UnitFlow{}, cancel.ErrCancelled
 			}
-			ui, du := h.Pop()
-			u := graph.NodeID(ui)
-			settled[u] = true
-			reached++
-			if u == t {
+			if !both || popsF <= popsB {
+				ui, du := hf.Pop()
+				u := graph.NodeID(ui)
+				mark[u] |= poppedF
+				popsF++
+				lastF = du
+				if lastF+lastB >= mu {
+					break
+				}
+				pu := pot[u]
+				carries := false
+				for _, id := range cs.OutRow(u) {
+					if inFlow[id] {
+						carries = true
+						continue
+					}
+					to := cs.Head(id)
+					if mark[to]&poppedF != 0 {
+						continue
+					}
+					rw := lw.Of(cs.Cost(id), cs.Delay(id)) + pu - pot[to]
+					if rw < 0 {
+						//lint:allow nopanic potential-validity invariant; a violation is a solver bug, not bad input
+						panic(fmt.Sprintf("flow: negative reduced weight %d", rw))
+					}
+					if nd := du + rw; nd < distF[to] {
+						distF[to], parF[to] = nd, id
+						hf.Push(int(to), nd)
+						relaxed++
+						if db := distB[to]; db < mu && nd+db < mu {
+							mu, meet = nd+db, to
+						}
+					}
+				}
+				if !carries {
+					continue // no flow enters u either (see the doc comment)
+				}
+				for _, id := range cs.InRow(u) {
+					if !inFlow[id] {
+						continue
+					}
+					to := cs.Tail(id)
+					if mark[to]&poppedF != 0 {
+						continue
+					}
+					rw := -lw.Of(cs.Cost(id), cs.Delay(id)) + pu - pot[to]
+					if rw < 0 {
+						//lint:allow nopanic potential-validity invariant; a violation is a solver bug, not bad input
+						panic(fmt.Sprintf("flow: negative reduced weight %d", rw))
+					}
+					if nd := du + rw; nd < distF[to] {
+						distF[to], parF[to] = nd, id
+						hf.Push(int(to), nd)
+						relaxed++
+						if db := distB[to]; db < mu && nd+db < mu {
+							mu, meet = nd+db, to
+						}
+					}
+				}
+				continue
+			}
+			vi, dv := hb.Pop()
+			v := graph.NodeID(vi)
+			mark[v] |= poppedB
+			popsB++
+			lastB = dv
+			if lastF+lastB >= mu {
 				break
 			}
+			pv := pot[v]
 			carries := false
-			for _, id := range cs.OutRow(u) {
+			for _, id := range cs.InRow(v) {
 				if inFlow[id] {
 					carries = true
 					continue
 				}
-				to := cs.Head(id)
-				if settled[to] {
+				from := cs.Tail(id)
+				if mark[from]&poppedB != 0 {
 					continue
 				}
-				rw := lw.Of(cs.Cost(id), cs.Delay(id)) + pot[u] - pot[to]
+				rw := lw.Of(cs.Cost(id), cs.Delay(id)) + pot[from] - pv
 				if rw < 0 {
 					//lint:allow nopanic potential-validity invariant; a violation is a solver bug, not bad input
 					panic(fmt.Sprintf("flow: negative reduced weight %d", rw))
 				}
-				if nd := du + rw; nd < dist[to] {
-					dist[to] = nd
-					parent[to] = arc{edge: id, fwd: true}
-					h.Push(int(to), nd)
+				if nd := dv + rw; nd < distB[from] {
+					distB[from], parB[from] = nd, id
+					hb.Push(int(from), nd)
 					relaxed++
+					if df := distF[from]; df < mu && nd+df < mu {
+						mu, meet = nd+df, from
+					}
 				}
 			}
 			if !carries {
-				continue // no flow enters u either (see the doc comment)
+				continue // no flow leaves v either (see the doc comment)
 			}
-			for _, id := range cs.InRow(u) {
+			for _, id := range cs.OutRow(v) {
 				if !inFlow[id] {
 					continue
 				}
-				to := cs.Tail(id)
-				if settled[to] {
+				from := cs.Head(id)
+				if mark[from]&poppedB != 0 {
 					continue
 				}
-				rw := -lw.Of(cs.Cost(id), cs.Delay(id)) + pot[u] - pot[to]
+				rw := -lw.Of(cs.Cost(id), cs.Delay(id)) + pot[from] - pv
 				if rw < 0 {
 					//lint:allow nopanic potential-validity invariant; a violation is a solver bug, not bad input
 					panic(fmt.Sprintf("flow: negative reduced weight %d", rw))
 				}
-				if nd := du + rw; nd < dist[to] {
-					dist[to] = nd
-					parent[to] = arc{edge: id, fwd: false}
-					h.Push(int(to), nd)
+				if nd := dv + rw; nd < distB[from] {
+					distB[from], parB[from] = nd, id
+					hb.Push(int(from), nd)
 					relaxed++
+					if df := distF[from]; df < mu && nd+df < mu {
+						mu, meet = nd+df, from
+					}
 				}
 			}
 		}
-		dt := dist[t]
-		if dt == shortest.Inf {
+		if mu == shortest.Inf {
 			recordFlow(m, rounds, relaxed, true)
 			return UnitFlow{}, ErrInfeasible
 		}
 		rounds++
-		kf.fr.Record(rec.KindAugment, rounds, dt, reached, 0)
-		kf.augmentAlong(parent, inFlow, s, t)
-		// The capped repair: settled vertices keep their distance, and the
-		// rest, which lie at least dist[t] away, take dist[t].
-		for v := range pot {
-			dist[v] = min(dist[v], dt)
-			pot[v] += dist[v] //lint:allow weightovf pot[v] stays in [0, pot[t]] and pot[t] is the residual s→t distance; phase-1 probes keep q·Σcost + p·Σdelay ≤ 2^60 (core.checkProbe)
+		kf.fr.Record(rec.KindAugment, rounds, mu, popsF+popsB, 0)
+		used += kf.augment(inFlow, meet, s, t)
+		// The repair, fused with the next round's reset.
+		cp := min(lastF, mu)
+		for v, mk := range mark {
+			if mk != 0 {
+				f := cp
+				if mk&poppedF != 0 {
+					f = min(f, distF[v])
+				}
+				if mk&poppedB != 0 {
+					f = max(f, mu-distB[v])
+				}
+				pot[v] += f - cp
+				mark[v] = 0
+			}
+			distF[v], distB[v] = shortest.Inf, shortest.Inf
 		}
 	}
 
-	set := graph.NewEdgeSet()
-	for id, used := range inFlow {
-		if used {
+	set := graph.NewEdgeSetSize(used)
+	for id, u := range inFlow {
+		if u {
 			set.Add(graph.EdgeID(id))
 		}
 	}
@@ -191,20 +313,32 @@ func (kf *KFlowSolver) MinCostKFlow(s, t graph.NodeID, k int, lw shortest.LinWei
 	return UnitFlow{Edges: set, Value: k}, nil
 }
 
-// augmentAlong flips flow along the parent chain from t back to s,
-// pushing on forward arcs and cancelling on backward ones.
+// augment flips flow along meet's forward parent chain back to s and its
+// backward parent chain on to t, and returns the change in the number of
+// edges carrying flow. A parent edge that carries flow was relaxed as a
+// cancelling arc, so the walk reads each arc's direction from inFlow just
+// before toggling it.
 //
-//krsp:terminates(the parent array encodes a simple chain from t to s, ≤ n edges)
-func (kf *KFlowSolver) augmentAlong(parent []arc, inFlow []bool, s, t graph.NodeID) {
-	v := t
-	for v != s {
-		a := parent[v]
-		if a.fwd {
-			inFlow[a.edge] = true
-			v = kf.c.Tail(a.edge)
+//krsp:terminates(the two parent chains are the halves of a simple s→t path, ≤ n edges)
+func (kf *KFlowSolver) augment(inFlow []bool, meet, s, t graph.NodeID) int {
+	cs, delta := kf.c, 0
+	for v := meet; v != s; {
+		id := kf.parF[v]
+		if inFlow[id] {
+			v, delta = cs.Head(id), delta-1
 		} else {
-			inFlow[a.edge] = false
-			v = kf.c.Head(a.edge)
+			v, delta = cs.Tail(id), delta+1
 		}
+		inFlow[id] = !inFlow[id]
 	}
+	for v := meet; v != t; {
+		id := kf.parB[v]
+		if inFlow[id] {
+			v, delta = cs.Tail(id), delta-1
+		} else {
+			v, delta = cs.Head(id), delta+1
+		}
+		inFlow[id] = !inFlow[id]
+	}
+	return delta
 }

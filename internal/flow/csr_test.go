@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/obs/rec"
 	"repro/internal/shortest"
 )
 
@@ -105,14 +106,19 @@ func sameErr(t *testing.T, label string, errWant, errGot error) bool {
 	return errWant == nil
 }
 
-// TestKFlowSolverMatchesSpec holds the solver to its tie rule written out
-// (specMinCostKFlow, ref_test.go): the same flows edge for edge, the same
-// errors, and the same augmentation, relaxation and infeasibility counts.
+// TestKFlowSolverMatchesSpec holds the solver to its rule written out
+// (specMinCostKFlow, ref_test.go, which also checks each round's
+// invariants): the same flows edge for edge, the same errors, the same
+// augmentation, relaxation and infeasibility counts, and the same augment
+// events (each round's μ and pops).
 func TestKFlowSolverMatchesSpec(t *testing.T) {
 	forEachFlowCase(func(label string, g *graph.Digraph, s, tt graph.NodeID, kf *KFlowSolver, k int, lw shortest.LinWeight) {
 		ms := obs.New(&obs.ManualClock{}).FlowMetrics()
 		mc := obs.New(&obs.ManualClock{}).FlowMetrics()
-		fs, errS := specMinCostKFlow(g, s, tt, k, lw, ms)
+		rs, rc := rec.New(nil, 8), rec.New(nil, 8)
+		kf.SetRecorder(rc)
+		defer kf.SetRecorder(nil)
+		fs, errS := specMinCostKFlow(g, s, tt, k, lw, ms, rs)
 		fc, errC := kf.MinCostKFlow(s, tt, k, lw, mc, nil)
 		if sameErr(t, label, errS, errC) {
 			idsS, idsC := sortedIDs(fs), sortedIDs(fc)
@@ -131,6 +137,15 @@ func TestKFlowSolverMatchesSpec(t *testing.T) {
 			t.Fatalf("%s: metrics (aug %d, relax %d, infeasible %d), spec (%d, %d, %d)", label,
 				mc.Augmentations.Value(), mc.Relaxations.Value(), mc.Infeasible.Value(),
 				ms.Augmentations.Value(), ms.Relaxations.Value(), ms.Infeasible.Value())
+		}
+		evS, evC := rs.Events(), rc.Events()
+		if len(evS) != len(evC) {
+			t.Fatalf("%s: %d augment events, spec %d", label, len(evC), len(evS))
+		}
+		for i := range evS {
+			if evS[i].Args != evC[i].Args {
+				t.Fatalf("%s: augment event %d: %v, spec %v", label, i, evC[i].Args, evS[i].Args)
+			}
 		}
 	})
 }
@@ -183,6 +198,69 @@ func TestKFlowSolverReuseIsClean(t *testing.T) {
 	for i := range ids1 {
 		if ids1[i] != ids2[i] {
 			t.Fatalf("reuse drift at %d: %d vs %d", i, ids1[i], ids2[i])
+		}
+	}
+}
+
+// TestKFlowSolverAtProbeLimit runs flows with k ≥ 2 at the edge of the
+// domain phase 1 admits, q·Σcost + p·Σdelay = 2^60 exactly (core.checkProbe),
+// where rounds 2..k search from both ends over potentials that may be
+// negative. The solver must not panic and must match the spec, which
+// checks every round's invariants, edge for edge, and the oracle in flow
+// weight. The cases are a Suurballe trap whose five edges carry all of
+// Σcost = 2^30 (round 2 cancels the middle edge), and the tie-heavy graphs
+// with their weights scaled by a power of two and a padding edge between
+// two extra vertices topping the weighted sum up to 2^60.
+func TestKFlowSolverAtProbeLimit(t *testing.T) {
+	const limit = int64(1) << 60
+	check := func(label string, g *graph.Digraph, s, tt graph.NodeID, k int, lw shortest.LinWeight) {
+		t.Helper()
+		var sumC, sumD int64
+		for _, e := range g.Edges() {
+			sumC += e.Cost
+			sumD += e.Delay
+		}
+		if w := lw.Q*sumC + lw.P*sumD; w != limit {
+			t.Fatalf("%s: weighted sum %d, want 2^60", label, w)
+		}
+		kf := NewKFlowSolver(graph.NewCSR(g))
+		fs, errS := specMinCostKFlow(g, s, tt, k, lw, nil, nil)
+		fc, errC := kf.MinCostKFlow(s, tt, k, lw, nil, nil)
+		oracle := func(e graph.Edge) int64 { return lw.Of(e.Cost, e.Delay) }
+		fd, errD := minCostKFlow(g, s, tt, k, oracle, nil, nil)
+		sameErr(t, label+" (oracle)", errD, errC)
+		if sameErr(t, label, errS, errC) {
+			if ids, want := sortedIDs(fc), sortedIDs(fs); fmt.Sprint(ids) != fmt.Sprint(want) {
+				t.Fatalf("%s: flow %v, spec %v", label, ids, want)
+			}
+			if wc, wd := fc.Weight(g, lw), fd.Weight(g, lw); wc != wd {
+				t.Fatalf("%s: flow weight %d, oracle %d", label, wc, wd)
+			}
+		}
+	}
+
+	trap := graph.New(4) // s=0, a=1, b=2, t=3
+	trap.AddEdge(0, 1, 1<<27, 0)
+	trap.AddEdge(1, 2, 1<<27, 0)
+	trap.AddEdge(2, 3, 1<<27, 0)
+	trap.AddEdge(0, 2, 1<<28+1<<26, 0)
+	trap.AddEdge(1, 3, 1<<28+1<<26, 0)
+	check("trap", trap, 0, 3, 2, shortest.LinCombine(1<<30, 0))
+
+	for seed := int64(0); seed < 300; seed++ {
+		g, s, tt := tieHeavyFlowGraph(seed)
+		var sum int64 // Σcost + Σdelay; the weighting puts 2^j on both
+		for _, e := range g.Edges() {
+			sum += e.Cost + e.Delay
+		}
+		j := 60
+		for int64(1)<<j > limit/max(sum, 1) {
+			j--
+		}
+		pad := g.AddNode()
+		g.AddEdge(pad, g.AddNode(), limit>>j-sum, 0)
+		for k := 2; k <= 4; k++ {
+			check(fmt.Sprintf("tie-heavy seed %d k %d", seed, k), g, s, tt, k, shortest.LinCombine(1<<j, 1<<j))
 		}
 	}
 }

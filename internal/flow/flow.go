@@ -148,13 +148,6 @@ func recordFlow(m *obs.FlowMetrics, rounds, relaxed int64, infeasible bool) {
 	}
 }
 
-// arc is a residual-graph step recorded in the Dijkstra parent array: push
-// one unit on an unused edge (fwd) or cancel a unit on a used one.
-type arc struct {
-	edge graph.EdgeID
-	fwd  bool // true: push on unused edge; false: cancel used edge
-}
-
 // SuurballeMinSum returns k edge-disjoint s→t paths of minimum total cost
 // (no delay constraint): the classic min-sum disjoint path problem [20, 21]
 // solved as a min-cost k-flow. This is the delay-oblivious baseline.

@@ -12,13 +12,19 @@ import (
 )
 
 // TestAugmentRecordsSettled checks the augment events of a hand-solved
-// flow: round index, s→t reduced distance and vertices settled.
+// flow: round index, s→t reduced distance μ and vertices popped by both
+// searches.
 //
-// Round 1 (zero potentials) settles s=0 (0) and 1 (1); then t=2 and 3 are
-// both queued at distance 2, 3 first, and the tie rule pops t by its lower
-// ID and stops: 3 settled, path 0→1→2. The capped repair leaves potentials
-// (0, 1, 2, 2, 2), those of 3 and 4 capped at dist[t]. Round 2 settles 0,
-// 3 (reduced 0) and t (reduced 2): 3 settled, path 0→3→2.
+// Round 1 searches from s=0 only, with t=2 counted as popped from t at
+// label 0. It pops 0 (label 0) and 1 (label 1), whose edge to t makes
+// μ = 2; then 3 and t are both queued at 2, and the tie rule pops t by its
+// lower ID, which stops the round (2 + 0 ≥ μ): 3 pops, path 0→1→2. With
+// cap = 2 the repair leaves potentials (−2, −1, 0, 0, 0), the capped ones
+// unchanged. Round 2 alternates, forward first: 0 (label 0, reaching 3 at
+// 0), then t backward (label 0, reaching 3 at 2, which meets 3's forward
+// label 0 for μ = 2, and 4 at 0), 3 forward (reaching t at 2), 4 backward
+// (reaching 1 at 4), and t forward at 2, which stops the round
+// (2 + 0 ≥ μ): 5 pops, path 0→3→2 through the meeting vertex 3.
 func TestAugmentRecordsSettled(t *testing.T) {
 	g := graph.New(5)
 	g.AddEdge(0, 1, 1, 0)
@@ -37,7 +43,7 @@ func TestAugmentRecordsSettled(t *testing.T) {
 	if c := f.Cost(g); c != 6 {
 		t.Fatalf("flow cost %d, want 6", c)
 	}
-	want := [][4]int64{{1, 2, 3, 0}, {2, 2, 3, 0}}
+	want := [][4]int64{{1, 2, 3, 0}, {2, 2, 5, 0}}
 	evs := r.Events()
 	if len(evs) != len(want) {
 		t.Fatalf("%d events, want %d", len(evs), len(want))
@@ -50,7 +56,7 @@ func TestAugmentRecordsSettled(t *testing.T) {
 }
 
 // TestAugmentSettledWithinN runs k=3 flows on a layered grid under three
-// weightings and checks every round settled at least s and t and at most
+// weightings and checks every round popped at least s and t and at most
 // the n vertices there are.
 func TestAugmentSettledWithinN(t *testing.T) {
 	ins := gen.LayeredGrid(7, 20, 50, gen.DefaultWeights())

@@ -6,6 +6,7 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/obs/rec"
 	"repro/internal/pq"
 	"repro/internal/shortest"
 )
@@ -18,10 +19,19 @@ import (
 //     adjacency lists with closure weights, a full potential Dijkstra, then
 //     every round a full Dijkstra followed by the O(n) potential update. It
 //     is the optimum oracle of TestKFlowSolverMatchesDigraph.
-//   - specMinCostKFlow, KFlowSolver's tie rule written out with no heap: it
-//     settles the unsettled vertex with the least (reduced distance, vertex
-//     ID) by linear scan, stops each round at t and applies the capped
-//     repair. It is the specification of TestKFlowSolverMatchesSpec.
+//   - specMinCostKFlow, KFlowSolver's rule written out with no queues: each
+//     side pops its unpopped vertex with the least (reduced label, vertex
+//     ID) by linear scan, under the same alternation, meeting, stop and
+//     repair rules, and every round ends with the invariants the rule
+//     promises checked. It is the specification of
+//     TestKFlowSolverMatchesSpec.
+
+// arc is a residual-graph step recorded in minCostKFlow's parent array:
+// push one unit on an unused edge (fwd) or cancel a unit on a used one.
+type arc struct {
+	edge graph.EdgeID
+	fwd  bool // true: push on unused edge; false: cancel used edge
+}
 
 // augmentAlong flips flow along the parent chain from t back to s, pushing
 // on forward arcs and cancelling on backward ones.
@@ -154,76 +164,162 @@ func minCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, w shortest.Weight,
 }
 
 // specMinCostKFlow computes the min-cost k-flow KFlowSolver must return,
-// edge for edge: potentials start at zero; each round scans for the
-// unsettled vertex with the least (reduced distance, vertex ID), relaxes
-// its unused out-arcs and then its used in-arcs in ascending edge-ID order
-// (strict improvements only), stops once t settles, augments along t's
-// tree path, and adds min(dist[v], dist[t]) to every potential.
-func specMinCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, lw shortest.LinWeight, m *obs.FlowMetrics) (UnitFlow, error) {
+// edge for edge, and records the same augment events into r (nil records
+// nothing). Potentials start at zero. Round 1 searches from s only, with t
+// counted as popped from t at label 0; later rounds search from s and t,
+// the side with fewer pops stepping next (ties forward). A step pops the
+// side's unpopped labelled vertex with the least (label, vertex ID) by
+// linear scan, stops the round if lastF + lastB ≥ μ, and otherwise relaxes
+// the residual arcs out of the vertex (forward) or into it (backward),
+// unused edges first, then used ones, each in ascending edge-ID order,
+// skipping vertices the side has popped, on strict improvement only. An
+// improved label at a vertex labelled by the other side offers a meeting,
+// taken if strictly below μ. A side with nothing left to pop ends the
+// round infeasible. The round augments along the meeting vertex's two
+// parent chains and repairs with f(v) = max(min(cap, distF[v]),
+// μ − distB[v]), cap = min(lastF, μ), each term taken where its side
+// popped v, adding f(v) − cap to every potential.
+//
+// After each round it panics unless the augmenting walk repeated no vertex,
+// the flow is conserved (k units out of s and into t after k rounds) and
+// every residual arc has a nonnegative reduced weight.
+func specMinCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, lw shortest.LinWeight, m *obs.FlowMetrics, r *rec.Recorder) (UnitFlow, error) {
 	if k < 0 {
 		return UnitFlow{}, fmt.Errorf("flow: negative k=%d", k)
 	}
+	const inf = shortest.Inf
 	var rounds, relaxed int64
 	n := g.NumNodes()
 	inFlow := make([]bool, g.NumEdges())
 	pot := make([]int64, n)
+	w := func(id graph.EdgeID) int64 { e := g.Edge(id); return lw.Of(e.Cost, e.Delay) }
 	for it := 0; it < k; it++ {
-		dist := make([]int64, n)
-		parent := make([]arc, n)
-		settled := make([]bool, n)
-		for v := range dist {
-			dist[v] = shortest.Inf
-			parent[v] = arc{edge: -1}
+		both := it > 0
+		distF, distB := make([]int64, n), make([]int64, n)
+		parF, parB := make([]graph.EdgeID, n), make([]graph.EdgeID, n)
+		popF, popB := make([]bool, n), make([]bool, n)
+		for v := range distF {
+			distF[v], distB[v], parF[v], parB[v] = inf, inf, -1, -1
 		}
-		dist[s] = 0
-		for {
+		distF[s], distB[t] = 0, 0
+		popB[t] = !both
+		mu, meet := int64(inf), graph.NodeID(-1)
+		if s == t {
+			mu, meet = 0, s
+		}
+		least := func(dist []int64, popped []bool) graph.NodeID {
 			u := graph.NodeID(-1)
 			for v := range dist {
-				if !settled[v] && dist[v] != shortest.Inf && (u < 0 || dist[v] < dist[u]) {
+				if !popped[v] && dist[v] != inf && (u < 0 || dist[v] < dist[u]) {
 					u = graph.NodeID(v)
 				}
 			}
-			if u < 0 {
-				break
+			return u
+		}
+		// relax offers x the label du + rw on one side, over edge id.
+		relax := func(dist, other []int64, par []graph.EdgeID, popped []bool, x graph.NodeID, du, rw int64, id graph.EdgeID) {
+			if popped[x] {
+				return
 			}
-			settled[u] = true
-			if u == t {
-				break
+			if rw < 0 {
+				panic(fmt.Sprintf("flow: negative reduced weight %d", rw))
 			}
-			relax := func(to graph.NodeID, wt int64, a arc) {
-				if settled[to] {
-					return
-				}
-				rw := wt + pot[u] - pot[to]
-				if rw < 0 {
-					panic(fmt.Sprintf("flow: negative reduced weight %d", rw))
-				}
-				if nd := dist[u] + rw; nd < dist[to] {
-					dist[to] = nd
-					parent[to] = a
-					relaxed++
-				}
-			}
-			for _, id := range g.Out(u) {
-				if e := g.Edge(id); !inFlow[id] {
-					relax(e.To, lw.Of(e.Cost, e.Delay), arc{edge: id, fwd: true})
-				}
-			}
-			for _, id := range g.In(u) {
-				if e := g.Edge(id); inFlow[id] {
-					relax(e.From, -lw.Of(e.Cost, e.Delay), arc{edge: id, fwd: false})
+			if d := du + rw; d < dist[x] {
+				dist[x], par[x] = d, id
+				relaxed++
+				if other[x] != inf && d+other[x] < mu {
+					mu, meet = d+other[x], x
 				}
 			}
 		}
-		if dist[t] == shortest.Inf {
+		var lastF, lastB, popsF, popsB int64
+		for {
+			uF, uB := least(distF, popF), least(distB, popB)
+			if uF < 0 || both && uB < 0 {
+				break
+			}
+			if !both || popsF <= popsB {
+				u := uF
+				popF[u], lastF = true, distF[u]
+				popsF++
+				if lastF+lastB >= mu {
+					break
+				}
+				for _, id := range g.Out(u) {
+					if e := g.Edge(id); !inFlow[id] {
+						relax(distF, distB, parF, popF, e.To, distF[u], w(id)+pot[u]-pot[e.To], id)
+					}
+				}
+				for _, id := range g.In(u) {
+					if e := g.Edge(id); inFlow[id] {
+						relax(distF, distB, parF, popF, e.From, distF[u], -w(id)+pot[u]-pot[e.From], id)
+					}
+				}
+				continue
+			}
+			v := uB
+			popB[v], lastB = true, distB[v]
+			popsB++
+			if lastF+lastB >= mu {
+				break
+			}
+			for _, id := range g.In(v) {
+				if e := g.Edge(id); !inFlow[id] {
+					relax(distB, distF, parB, popB, e.From, distB[v], w(id)+pot[e.From]-pot[v], id)
+				}
+			}
+			for _, id := range g.Out(v) {
+				if e := g.Edge(id); inFlow[id] {
+					relax(distB, distF, parB, popB, e.To, distB[v], -w(id)+pot[e.To]-pot[v], id)
+				}
+			}
+		}
+		if mu == inf {
 			recordFlow(m, rounds, relaxed, true)
 			return UnitFlow{}, ErrInfeasible
 		}
 		rounds++
-		augmentAlong(g, parent, inFlow, s, t)
-		for v := range pot {
-			pot[v] += min(dist[v], dist[t])
+		r.Record(rec.KindAugment, rounds, mu, popsF+popsB, 0)
+
+		onWalk := make([]bool, n)
+		visit := func(v graph.NodeID) {
+			if onWalk[v] {
+				panic(fmt.Sprintf("flow spec: round %d: augmenting walk repeats vertex %d", rounds, v))
+			}
+			onWalk[v] = true
 		}
+		visit(meet)
+		for v := meet; v != s; visit(v) {
+			id := parF[v]
+			if e := g.Edge(id); inFlow[id] {
+				v = e.To
+			} else {
+				v = e.From
+			}
+			inFlow[id] = !inFlow[id]
+		}
+		for v := meet; v != t; visit(v) {
+			id := parB[v]
+			if e := g.Edge(id); inFlow[id] {
+				v = e.From
+			} else {
+				v = e.To
+			}
+			inFlow[id] = !inFlow[id]
+		}
+
+		cp := min(lastF, mu)
+		for v := range pot {
+			f := cp
+			if popF[v] {
+				f = min(f, distF[v])
+			}
+			if popB[v] {
+				f = max(f, mu-distB[v])
+			}
+			pot[v] += f - cp
+		}
+		checkRound(g, s, t, rounds, lw, inFlow, pot)
 	}
 
 	set := graph.NewEdgeSet()
@@ -234,4 +330,37 @@ func specMinCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, lw shortest.Li
 	}
 	recordFlow(m, rounds, relaxed, false)
 	return UnitFlow{Edges: set, Value: k}, nil
+}
+
+// checkRound panics unless the flow after round rounds is conserved, with
+// rounds units leaving s and entering t, and every residual arc has a
+// nonnegative reduced weight under pot.
+func checkRound(g *graph.Digraph, s, t graph.NodeID, rounds int64, lw shortest.LinWeight, inFlow []bool, pot []int64) {
+	excess := make([]int64, g.NumNodes()) // flow in minus flow out
+	for id, used := range inFlow {
+		e := g.Edge(graph.EdgeID(id))
+		wt := lw.Of(e.Cost, e.Delay)
+		rw := wt + pot[e.From] - pot[e.To] // the unused edge's arc From→To
+		if used {
+			excess[e.To]++
+			excess[e.From]--
+			rw = -wt + pot[e.To] - pot[e.From] // the cancelling arc To→From
+		}
+		if rw < 0 {
+			panic(fmt.Sprintf("flow spec: round %d: edge %d (used %v) has reduced weight %d", rounds, id, used, rw))
+		}
+	}
+	for v, x := range excess {
+		want := int64(0)
+		switch {
+		case s == t:
+		case graph.NodeID(v) == s:
+			want = -rounds
+		case graph.NodeID(v) == t:
+			want = rounds
+		}
+		if x != want {
+			panic(fmt.Sprintf("flow spec: round %d: vertex %d has flow excess %d, want %d", rounds, v, x, want))
+		}
+	}
 }

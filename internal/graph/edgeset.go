@@ -15,6 +15,12 @@ func NewEdgeSet(ids ...EdgeID) EdgeSet {
 	return s
 }
 
+// NewEdgeSetSize returns an empty set with room for n IDs, so filling it
+// with up to n members never grows its map.
+func NewEdgeSetSize(n int) EdgeSet {
+	return EdgeSet{m: make(map[EdgeID]struct{}, n)}
+}
+
 // Add inserts id.
 func (s EdgeSet) Add(id EdgeID) { s.m[id] = struct{}{} }
 

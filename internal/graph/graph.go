@@ -278,14 +278,16 @@ func (g *Digraph) FindEdges(u, v NodeID) []EdgeID {
 
 // Validate checks internal adjacency consistency: edge IDs match their
 // positions, endpoints are in range, every row lists only known edges
-// incident to its vertex on the right side, and every edge appears twice
-// across all rows. It runs on every solver entry point (through
-// Instance.Validate) and so on every krspd request, in O(n + m) time with
-// one allocation, a per-edge counter; it returns a descriptive error on the
-// first inconsistency found.
+// incident to its vertex on the right side, and every edge is listed
+// exactly once among the out rows and exactly once among the in rows. It
+// runs on every solver entry point (through Instance.Validate) and so on
+// every krspd request, in O(n + m) time with one allocation, a byte of
+// marks per edge; it returns a descriptive error on the first
+// inconsistency found.
 func (g *Digraph) Validate() error {
+	const inOut, inIn = 1, 2 // mark bits: listed in an out row, in an in row
 	n := g.NumNodes()
-	seen := make([]int32, len(g.edges))
+	marks := make([]uint8, len(g.edges))
 	for v := 0; v < n; v++ {
 		for _, id := range g.out[v] {
 			if int(id) >= len(g.edges) {
@@ -295,7 +297,10 @@ func (g *Digraph) Validate() error {
 			if e.From != NodeID(v) {
 				return fmt.Errorf("graph: edge %d in out[%d] has From=%d", id, v, e.From)
 			}
-			seen[id]++
+			if marks[id]&inOut != 0 {
+				return fmt.Errorf("graph: edge %d listed twice in out[%d]", id, v)
+			}
+			marks[id] |= inOut
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -307,7 +312,10 @@ func (g *Digraph) Validate() error {
 			if e.To != NodeID(v) {
 				return fmt.Errorf("graph: edge %d in in[%d] has To=%d", id, v, e.To)
 			}
-			seen[id]++
+			if marks[id]&inIn != 0 {
+				return fmt.Errorf("graph: edge %d listed twice in in[%d]", id, v)
+			}
+			marks[id] |= inIn
 		}
 	}
 	for i, e := range g.edges {
@@ -317,8 +325,11 @@ func (g *Digraph) Validate() error {
 		if int(e.From) >= n || int(e.To) >= n || e.From < 0 || e.To < 0 {
 			return fmt.Errorf("graph: edge %d endpoints out of range: %d→%d", i, e.From, e.To)
 		}
-		if seen[e.ID] != 2 {
-			return fmt.Errorf("graph: edge %d appears %d times in adjacency (want 2)", e.ID, seen[e.ID])
+		if marks[i]&inOut == 0 {
+			return fmt.Errorf("graph: edge %d missing from out[%d]", i, e.From)
+		}
+		if marks[i]&inIn == 0 {
+			return fmt.Errorf("graph: edge %d missing from in[%d]", i, e.To)
 		}
 	}
 	return nil

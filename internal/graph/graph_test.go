@@ -579,3 +579,27 @@ func TestQuickOPlusDegreeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestValidateRejectsMalformedRows checks that Validate wants each edge
+// once among the out rows and once among the in rows, not merely twice in
+// all: an edge listed twice in its out row and missing from its in row
+// used to pass, leaving In(1) empty.
+func TestValidateRejectsMalformedRows(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		out, in [][]EdgeID
+		want    string
+	}{
+		{"twice in out, missing from in", [][]EdgeID{{0, 0}, {}}, [][]EdgeID{{}, {}}, "edge 0 listed twice in out[0]"},
+		{"twice in in, missing from out", [][]EdgeID{{}, {}}, [][]EdgeID{{}, {0, 0}}, "edge 0 listed twice in in[1]"},
+		{"missing from in", [][]EdgeID{{0}, {}}, [][]EdgeID{{}, {}}, "edge 0 missing from in[1]"},
+		{"missing from out", [][]EdgeID{{}, {}}, [][]EdgeID{{}, {0}}, "edge 0 missing from out[0]"},
+	} {
+		g := New(2)
+		g.AddEdge(0, 1, 1, 1)
+		g.out, g.in = tc.out, tc.in
+		if err := g.Validate(); err == nil || err.Error() != "graph: "+tc.want {
+			t.Errorf("%s: Validate() = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}

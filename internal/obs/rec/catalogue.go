@@ -35,7 +35,8 @@ const (
 	KindDualityGap
 	// KindAugment is one successive-shortest-path augmentation round in
 	// the min-cost-flow kernel: round index, the round's s→t reduced
-	// distance, and the number of vertices its Dijkstra settled.
+	// distance μ, and the number of pops of its searches from s and from t
+	// (round 1 searches from s only).
 	KindAugment
 	// KindCancelStep is one applied cycle cancellation: cycle edge count,
 	// aggregate cost and delay of the applied candidate, bicameral type.

@@ -10,7 +10,8 @@
 // push may not go below the key of the last pop, which every Dijkstra over
 // nonnegative weights honours. Its lowest tier holds the items queued at
 // the last popped key in a 64-ary bit trie over item IDs, so a tied item
-// pops in a few word operations.
+// pops in a few word operations. An item costs 16 bytes: its key and two
+// list links, since a queued item's bucket follows from its key.
 package pq
 
 import (
@@ -22,15 +23,17 @@ const (
 	// signBit maps an int64 key to a uint64 of the same order: flipping
 	// the sign bit sends math.MinInt64 to 0 and math.MaxInt64 to 2^64−1.
 	signBit = 1 << 63
-	// absent is the tag of an item that is not queued.
-	absent = -1
+	// absent is the next link of an item that is not queued; a queued
+	// item's next is an item ID or -1.
+	absent = -2
 	// maxLevels is the trie depth of the largest universe, math.MaxInt32
 	// items: ⌈31/6⌉ levels of 64-ary words.
 	maxLevels = 6
 )
 
 // Heap is an indexed monotone min-queue over items 0..n-1,
-// n ≤ math.MaxInt32. The zero value is not usable; construct with New.
+// n ≤ math.MaxInt32. Construct it with New, or Grow a zero Heap before its
+// first use (a caller embedding Heaps by value saves New's allocation).
 //
 // Pop order is a contract: Pop removes the queued item with the least
 // (key, item) pair. Items are distinct, so that order is total and the
@@ -44,22 +47,24 @@ const (
 //
 // Layout. Keys are stored order-mapped to uint64 (see signBit), and last
 // is the mapped key of the last Pop (0 before any). A queued item with
-// mapped key k sits in bucket bits.Len64(k ^ last): bucket 0 holds the
+// mapped key k sits in bucket bits.Len64(k ^ last), which is recomputed
+// from the key rather than stored: bucket 0 holds the
 // items at exactly last, as set bits of a 64-ary trie over item IDs;
 // bucket b ≥ 1 holds the keys whose highest bit differing from last is bit
 // b−1, as a doubly linked list threaded through the items' links. Every
 // key of bucket b is below every key of bucket b+1. When the trie is
 // empty, Pop takes the lowest non-empty bucket, makes its least key the
 // new last and redistributes the bucket: its items land in lower buckets
-// (the least ones in the trie), and no other item changes bucket. So an
-// item moves at most 64 times between pushes, and a push or pop at the
-// current key costs one trie walk.
+// (the least ones in the trie), and no other item changes bucket, because
+// the new last agrees with the old one on every bit above b−1 when b is
+// the refilled bucket. So an item moves at most 64 times between pushes,
+// and a push or pop at the current key costs one trie walk.
 type Heap struct {
 	// Two slabs hold every per-item array, so a growing Grow costs two
 	// allocations: keys and the trie levels share one []uint64, and links
-	// is the other. An item costs 20 bytes.
+	// is the other. An item costs 16 bytes.
 	keys  []uint64 // keys[item] = mapped key, valid while queued
-	links []link   // links[item] = item's bucket and list neighbours
+	links []link   // links[item] = item's list neighbours, or absent
 
 	// trie[l] is level l of bucket 0, leaves first: bit i of trie[0]'s
 	// word j marks item 64j+i, and bit i of trie[l]'s word j marks a
@@ -74,10 +79,11 @@ type Heap struct {
 	count int       // queued items
 }
 
-// link is an item's place in the queue: its bucket, or absent, and its
-// neighbours in that bucket's list (-1 at either end; unused in the trie).
+// link is an item's place in its bucket's list: its neighbours, -1 at
+// either end. next is absent while the item is not queued; in the trie,
+// where the links are unused, it is -1.
 type link struct {
-	tag, next, prev int32
+	next, prev int32
 }
 
 // New returns a queue able to hold items 0..n-1.
@@ -91,7 +97,7 @@ func New(n int) *Heap {
 func (h *Heap) Len() int { return h.count }
 
 // Contains reports whether item is queued.
-func (h *Heap) Contains(item int) bool { return h.links[item].tag != absent }
+func (h *Heap) Contains(item int) bool { return h.links[item].next != absent }
 
 // Push inserts item with the given key, or moves it to that key if it is
 // already queued; a push at the item's current key changes nothing. The
@@ -103,20 +109,22 @@ func (h *Heap) Push(item int, key int64) {
 		panic("pq: Push below the key of the last Pop")
 	}
 	b := int32(bits.Len64(k ^ h.last))
-	switch old := h.links[item].tag; {
-	case old == absent:
+	if h.links[item].next == absent {
 		h.count++
-	case h.keys[item] == k:
-		return
-	case old == b:
-		// Same bucket (never the trie: its keys all equal last): the
-		// list does not order its items, so only the key changes.
-		h.keys[item] = k
-		return
-	case old == 0:
-		h.trieRemove(item)
-	default:
-		h.unlink(int32(item), old)
+	} else {
+		switch old := int32(bits.Len64(h.keys[item] ^ h.last)); {
+		case h.keys[item] == k:
+			return
+		case old == b:
+			// Same bucket (never the trie: its keys all equal last): the
+			// list does not order its items, so only the key changes.
+			h.keys[item] = k
+			return
+		case old == 0:
+			h.trieRemove(item)
+		default:
+			h.unlink(int32(item), old)
+		}
 	}
 	h.keys[item] = k
 	h.place(int32(item), b)
@@ -130,7 +138,7 @@ func (h *Heap) Pop() (item int, key int64) {
 	}
 	i := h.trieMin()
 	h.trieRemove(i)
-	h.links[i].tag = absent
+	h.links[i].next = absent
 	h.count--
 	return i, int64(h.last ^ signBit)
 }
@@ -142,16 +150,18 @@ func (h *Heap) Pop() (item int, key int64) {
 //krsp:terminates(each list walk is one bucket's ≤ n items, and each trie pass removes one of the count queued items)
 func (h *Heap) Reset() {
 	for m := h.mask; m != 0; m &= m - 1 {
-		for i := h.head[bits.TrailingZeros64(m)+1]; i >= 0; i = h.links[i].next {
-			h.links[i].tag = absent
+		for i := h.head[bits.TrailingZeros64(m)+1]; i >= 0; {
+			next := h.links[i].next
+			h.links[i].next = absent
 			h.count--
+			i = next
 		}
 	}
 	h.mask = 0
 	for h.count > 0 {
 		i := h.trieMin()
 		h.trieRemove(i)
-		h.links[i].tag = absent
+		h.links[i].next = absent
 		h.count--
 	}
 	h.last = 0
@@ -186,7 +196,7 @@ func (h *Heap) Grow(n int) {
 	copy(keys, h.keys)
 	copy(links, h.links)
 	for i := old; i < n; i++ {
-		links[i].tag = absent
+		links[i].next = absent
 	}
 	var trie [maxLevels][]uint64
 	rest := words[n:]
@@ -213,13 +223,13 @@ func (h *Heap) Cap() int { return len(h.links) }
 // place files item, whose key is set, in bucket b.
 func (h *Heap) place(item, b int32) {
 	if b == 0 {
-		h.links[item].tag = 0
+		h.links[item].next = -1
 		h.trieAdd(int(item))
 		return
 	}
 	bit := uint64(1) << (b - 1)
 	l := &h.links[item]
-	l.tag, l.prev = b, -1
+	l.prev = -1
 	if h.mask&bit == 0 {
 		h.mask |= bit
 		l.next = -1

@@ -450,3 +450,35 @@ func TestGrowPrecapsEntries(t *testing.T) {
 		t.Fatalf("first fill of a grown heap allocated %d times", least)
 	}
 }
+
+// TestGrowBytes pins the queue's footprint: Grow(n) on a zero Heap
+// allocates 16 bytes per item (a key and two int32 list links) plus the
+// trie's words, within the allocator's page rounding, and leaves the zero
+// Heap usable. TotalAlloc is process-wide, so the least of three fresh
+// heaps is the witness.
+func TestGrowBytes(t *testing.T) {
+	const n = 1 << 16
+	trieWords := 0
+	for w := n; trieWords == 0 || w > 1; {
+		w = (w + 63) / 64
+		trieWords += w
+	}
+	want := uint64(16*n + 8*trieWords)
+	least := ^uint64(0)
+	for attempt := 0; attempt < 3; attempt++ {
+		var h Heap
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		h.Grow(n)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		h.Push(n-1, 5)
+		h.Push(7, 5)
+		if item, k := h.Pop(); item != 7 || k != 5 || h.Len() != 1 || !h.Contains(n-1) {
+			t.Fatalf("zero Heap after Grow: Pop = %d/%d, Len %d", item, k, h.Len())
+		}
+	}
+	if least < want || least > want+want/64 {
+		t.Fatalf("Grow(%d) allocated %d bytes, want %d (16 per item plus %d trie words) within 1/64", n, least, want, trieWords)
+	}
+}
