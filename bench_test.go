@@ -6,6 +6,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -146,7 +147,7 @@ func BenchmarkSolveScaledN30(b *testing.B) {
 	ins := benchInstance(b, 30, 2, 1.3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveScaled(ins, 0.25, 0.25, core.Options{}); err != nil {
+		if _, err := core.SolveScaledCtx(context.Background(), ins, 0.25, 0.25, core.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

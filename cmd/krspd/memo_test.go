@@ -200,6 +200,8 @@ func TestMemoSkipsInvalidBodies(t *testing.T) {
 		{"failed Validate", "", "krsp v1\nnodes 2\nst 0 1\nk 0\nbound 5\nedge 0 1 1 1\n", "k=0, want ≥ 1"},
 		{"unknown algo", "?algo=bogus", string(valid), "unknown algo bogus"},
 		{"bad eps", "?algo=scaled&eps=-1", string(valid), "bad eps"},
+		{"bad eps NaN", "?algo=scaled&eps=NaN", string(valid), "bad eps"},
+		{"bad eps Inf", "?algo=scaled&eps=Inf", string(valid), "bad eps"},
 	} {
 		var first []byte
 		for try := 0; try < 3; try++ {

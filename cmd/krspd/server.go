@@ -10,6 +10,7 @@ import (
 	"expvar"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -554,7 +555,7 @@ func decodeSolve(raw []byte, algo, epsQ string) (graph.Instance, float64, error)
 		eps = 0.25
 		if epsQ != "" {
 			eps, err = strconv.ParseFloat(epsQ, 64)
-			if err != nil || eps <= 0 {
+			if err != nil || !(eps > 0) || math.IsInf(eps, 1) {
 				return graph.Instance{}, 0, errors.New("bad eps")
 			}
 		}

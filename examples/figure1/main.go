@@ -33,12 +33,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bad, err := core.Solve(ins, core.Options{
-			DisableCostCap:   true,
-			Adversarial:      true,
-			OverestimateCRef: true,
-			NoSafetyNet:      true,
-		})
+		bad, err := core.Solve(ins, core.Options{Figure1Ablation: true})
 		if err != nil {
 			log.Fatal(err)
 		}

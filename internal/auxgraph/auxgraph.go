@@ -188,16 +188,6 @@ func (a *Aux) StartLayer() int64 {
 	return 0
 }
 
-// CycleCostAt reports the residual cost of a cycle closed by reaching the
-// copy of V at the given layer and taking its wrap edge. For Plus it is
-// +layer, for Minus layer−B, for TwoSided +layer.
-func (a *Aux) CycleCostAt(layer int64) int64 {
-	if a.Kind == Minus {
-		return layer - a.B
-	}
-	return layer
-}
-
 // ResEdge maps an H edge to its base (residual) edge, or -1 for wraps.
 func (a *Aux) ResEdge(id graph.EdgeID) graph.EdgeID { return a.resEdge[id] }
 

@@ -214,7 +214,7 @@ func All() []struct {
 // cost ratio), which is what E6 measures it against.
 func YenGreedy(ins graph.Instance) (Result, error) {
 	const poolFactor = 8
-	pool := shortest.KShortestPaths(ins.G, ins.S, ins.T, poolFactor*ins.K, shortest.CostWeight)
+	pool := shortest.KShortestPaths(ins.G, ins.S, ins.T, poolFactor*ins.K)
 	if len(pool) < ins.K {
 		return Result{}, fmt.Errorf("%w: only %d simple paths found", ErrFailed, len(pool))
 	}

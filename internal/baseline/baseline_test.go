@@ -162,104 +162,6 @@ func TestBaselineOrdering(t *testing.T) {
 	}
 }
 
-func TestMinMaxFactorTwo(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 4 + r.Intn(4)
-		g := graph.New(n)
-		for i := 0; i < 3*n; i++ {
-			u, v := r.Intn(n), r.Intn(n)
-			if u != v {
-				g.AddEdge(graph.NodeID(u), graph.NodeID(v), int64(r.Intn(8)), int64(r.Intn(8)))
-			}
-		}
-		ins := graph.Instance{G: g, S: 0, T: graph.NodeID(n - 1), K: 2, Bound: 1 << 30}
-		sol, worst, err := MinMax(ins)
-		if err != nil {
-			return true // fewer than 2 disjoint paths
-		}
-		if sol.Validate(ins) != nil {
-			return false
-		}
-		opt, ok := bruteMinMax(ins)
-		if !ok {
-			return false
-		}
-		// The min-sum reduction is a 2-approximation for k = 2 [16, 20].
-		return worst <= 2*opt
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// bruteMinMax enumerates disjoint path pairs minimizing the longer delay.
-func bruteMinMax(ins graph.Instance) (int64, bool) {
-	paths := enumerateAll(ins.G, ins.S, ins.T)
-	best := int64(-1)
-	for i := range paths {
-		for j := i + 1; j < len(paths); j++ {
-			if sharesEdge(paths[i], paths[j]) {
-				continue
-			}
-			a, b := paths[i].Delay(ins.G), paths[j].Delay(ins.G)
-			if b > a {
-				a = b
-			}
-			if best < 0 || a < best {
-				best = a
-			}
-		}
-	}
-	return best, best >= 0
-}
-
-func sharesEdge(a, b graph.Path) bool {
-	set := graph.NewEdgeSet(a.Edges...)
-	for _, id := range b.Edges {
-		if set.Has(id) {
-			return true
-		}
-	}
-	return false
-}
-
-func enumerateAll(g *graph.Digraph, s, t graph.NodeID) []graph.Path {
-	var out []graph.Path
-	var cur []graph.EdgeID
-	on := map[graph.NodeID]bool{s: true}
-	var dfs func(v graph.NodeID)
-	dfs = func(v graph.NodeID) {
-		if v == t {
-			out = append(out, graph.Path{Edges: append([]graph.EdgeID(nil), cur...)})
-			return
-		}
-		for _, id := range g.Out(v) {
-			e := g.Edge(id)
-			if on[e.To] {
-				continue
-			}
-			on[e.To] = true
-			cur = append(cur, id)
-			dfs(e.To)
-			cur = cur[:len(cur)-1]
-			delete(on, e.To)
-		}
-	}
-	dfs(s)
-	return out
-}
-
-func TestMinMaxInfeasible(t *testing.T) {
-	g := graph.New(3)
-	g.AddEdge(0, 1, 1, 1)
-	g.AddEdge(1, 2, 1, 1)
-	ins := graph.Instance{G: g, S: 0, T: 2, K: 2, Bound: 100}
-	if _, _, err := MinMax(ins); err == nil {
-		t.Fatal("single-route graph cannot host 2 disjoint paths")
-	}
-}
-
 func TestYenGreedy(t *testing.T) {
 	ins := tradeoff(12)
 	r, err := YenGreedy(ins)

@@ -8,7 +8,7 @@ import (
 	"repro/internal/graph"
 )
 
-// BatchItem is one result of SolveBatch, tagged with its input index so
+// BatchItem is one result of SolveBatchCtx, tagged with its input index so
 // callers can correlate out-of-order completion.
 type BatchItem struct {
 	Index  int
@@ -16,16 +16,11 @@ type BatchItem struct {
 	Err    error
 }
 
-// SolveBatch solves many independent kRSP instances concurrently on a
+// SolveBatchCtx solves many independent kRSP instances concurrently on a
 // bounded worker pool (an SDN controller re-provisioning many tunnel pairs
 // is the motivating workload). workers ≤ 0 selects GOMAXPROCS. Results are
 // returned in input order; each item carries its own error, so one
-// infeasible instance does not abort the batch.
-func SolveBatch(instances []graph.Instance, opt Options, workers int) []BatchItem {
-	return SolveBatchCtx(context.Background(), instances, opt, workers)
-}
-
-// SolveBatchCtx is SolveBatch honoring a context: once ctx is done, no
+// infeasible instance does not abort the batch. Once ctx is done, no
 // further instance is started and every unstarted item carries ctx.Err().
 // Items already in flight degrade with SolveCtx's anytime semantics (best
 // feasible solution so far, Stats.Degraded set, or ErrNoProgress when
@@ -65,31 +60,5 @@ func SolveBatchCtx(ctx context.Context, instances []graph.Instance, opt Options,
 		}()
 	}
 	wg.Wait()
-	return out
-}
-
-// SweepPoint is one (bound, result) pair of a tradeoff sweep.
-type SweepPoint struct {
-	Bound  int64
-	Result Result
-	Err    error
-}
-
-// SolveSweep solves the same topology across a set of delay bounds in
-// parallel, producing the cost/delay tradeoff curve an operator tunes an
-// SLA against. Bounds are processed on a worker pool; results are in input
-// order.
-func SolveSweep(ins graph.Instance, bounds []int64, opt Options, workers int) []SweepPoint {
-	instances := make([]graph.Instance, len(bounds))
-	for i, b := range bounds {
-		cp := ins
-		cp.Bound = b
-		instances[i] = cp
-	}
-	items := SolveBatch(instances, opt, workers)
-	out := make([]SweepPoint, len(bounds))
-	for i, it := range items {
-		out[i] = SweepPoint{Bound: bounds[i], Result: it.Result, Err: it.Err}
-	}
 	return out
 }

@@ -32,7 +32,7 @@ func TestSolveBatchMatchesSequential(t *testing.T) {
 		want[i] = res
 	}
 	for _, workers := range []int{1, 3, 16} {
-		items := SolveBatch(instances, Options{}, workers)
+		items := SolveBatchCtx(context.Background(), instances, Options{}, workers)
 		if len(items) != len(instances) {
 			t.Fatalf("workers=%d: %d items", workers, len(items))
 		}
@@ -57,14 +57,14 @@ func withBigBound(ins graph.Instance) graph.Instance {
 }
 
 func TestSolveBatchEmptyAndErrors(t *testing.T) {
-	if items := SolveBatch(nil, Options{}, 4); len(items) != 0 {
+	if items := SolveBatchCtx(context.Background(), nil, Options{}, 4); len(items) != 0 {
 		t.Fatal("empty batch")
 	}
 	// A batch mixing feasible and infeasible instances reports per-item
 	// errors without aborting.
 	ok := tradeoff(30)
 	bad := tradeoff(3)
-	items := SolveBatch([]graph.Instance{ok, bad, ok}, Options{}, 2)
+	items := SolveBatchCtx(context.Background(), []graph.Instance{ok, bad, ok}, Options{}, 2)
 	if items[0].Err != nil || items[2].Err != nil {
 		t.Fatalf("feasible items errored: %v %v", items[0].Err, items[2].Err)
 	}
@@ -73,95 +73,32 @@ func TestSolveBatchEmptyAndErrors(t *testing.T) {
 	}
 }
 
+// TestSolveSweepMonotone solves one topology across a set of delay bounds,
+// the cost/delay tradeoff curve an operator tunes an SLA against. The
+// tightest bound forces the expensive pair (cost 13); D=22 still returns 13
+// where OPT=12, within the certified 2× factor; the loosest bound admits
+// the cheapest pair (cost 5).
 func TestSolveSweepMonotone(t *testing.T) {
-	ins := tradeoff(0)
-	bounds := []int64{7, 10, 15, 20, 25, 30}
-	points := SolveSweep(ins, bounds, Options{}, 3)
-	if len(points) != len(bounds) {
-		t.Fatalf("%d points", len(points))
-	}
+	want := map[int64]int64{7: 13, 22: 13, 30: 5}
 	var prevCost int64 = 1 << 60
-	for i, pt := range points {
-		if pt.Err != nil {
-			t.Fatalf("bound %d: %v", pt.Bound, pt.Err)
+	for _, b := range []int64{7, 10, 15, 20, 22, 25, 30} {
+		res, err := SolveCtx(context.Background(), tradeoff(b), Options{})
+		if err != nil {
+			t.Fatalf("bound %d: %v", b, err)
 		}
-		if pt.Result.Delay > pt.Bound {
-			t.Fatalf("bound %d violated: delay %d", pt.Bound, pt.Result.Delay)
-		}
-		if pt.Bound != bounds[i] {
-			t.Fatal("order scrambled")
+		if res.Delay > b {
+			t.Fatalf("bound %d violated: delay %d", b, res.Delay)
 		}
 		// Looser bounds can only help: cost should be non-increasing up to
 		// the 2× approximation wiggle; assert the certified lower bound
 		// never exceeds the previous cost (a weak but sound monotonicity).
-		if pt.Result.LowerBound > prevCost {
-			t.Fatalf("lower bound %d exceeds previous cost %d", pt.Result.LowerBound, prevCost)
+		if res.LowerBound > prevCost {
+			t.Fatalf("lower bound %d exceeds previous cost %d", res.LowerBound, prevCost)
 		}
-		prevCost = pt.Result.Cost
-	}
-	// The loosest bound admits the cheapest pair (cost 5).
-	if last := points[len(points)-1].Result; last.Cost != 5 {
-		t.Fatalf("loose-bound cost %d", last.Cost)
-	}
-	// The tightest bound forces the expensive pair (cost 13).
-	if first := points[0].Result; first.Cost != 13 {
-		t.Fatalf("tight-bound cost %d", first.Cost)
-	}
-}
-
-func TestSolveVertexDisjoint(t *testing.T) {
-	// Two edge-disjoint paths share vertex 1; vertex-disjoint must avoid it
-	// or pay more.
-	g := graph.New(5)
-	g.AddEdge(0, 1, 1, 1) // e0
-	g.AddEdge(1, 4, 1, 1) // e1
-	g.AddEdge(0, 1, 1, 1) // e2 parallel
-	g.AddEdge(1, 4, 1, 1) // e3 parallel
-	g.AddEdge(0, 2, 5, 1) // e4
-	g.AddEdge(2, 4, 5, 1) // e5
-	ins := graph.Instance{G: g, S: 0, T: 4, K: 2, Bound: 10}
-
-	edgeRes, err := Solve(ins, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if edgeRes.Cost != 4 { // both parallel pairs through vertex 1
-		t.Fatalf("edge-disjoint cost %d", edgeRes.Cost)
-	}
-	vRes, err := SolveVertexDisjoint(ins, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vRes.Cost != 12 { // one cheap route + the expensive detour
-		t.Fatalf("vertex-disjoint cost %d", vRes.Cost)
-	}
-	// No interior vertex shared.
-	seen := map[graph.NodeID]int{}
-	for _, p := range vRes.Solution.Paths {
-		nodes := p.Nodes(ins.G)
-		for _, v := range nodes[1 : len(nodes)-1] {
-			seen[v]++
-			if seen[v] > 1 {
-				t.Fatalf("interior vertex %d shared", v)
-			}
+		prevCost = res.Cost
+		if c, ok := want[b]; ok && res.Cost != c {
+			t.Fatalf("bound %d: cost %d, want %d", b, res.Cost, c)
 		}
-	}
-}
-
-func TestSolveVertexDisjointInfeasible(t *testing.T) {
-	ins := tradeoff(30)
-	ins.K = 3 // 3 edge-disjoint exist, but all middle routes share nothing…
-	// tradeoff() has 3 vertex-disjoint routes (0-1-3, 0-2-3, 0-3): feasible.
-	res, err := SolveVertexDisjoint(ins, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Solution.Paths) != 3 {
-		t.Fatalf("%d paths", len(res.Solution.Paths))
-	}
-	ins.K = 4
-	if _, err := SolveVertexDisjoint(ins, Options{}); err == nil {
-		t.Fatal("k=4 vertex-disjoint should be infeasible")
 	}
 }
 
@@ -191,7 +128,7 @@ func TestSolveBatchCtxCancellation(t *testing.T) {
 			t.Fatalf("item %d tagged index %d", i, it.Index)
 		}
 	}
-	// Live context: identical to SolveBatch.
+	// Live context: every item solves.
 	for i, it := range SolveBatchCtx(context.Background(), instances, Options{}, 4) {
 		if it.Err != nil {
 			t.Fatalf("item %d: %v", i, it.Err)
@@ -199,7 +136,7 @@ func TestSolveBatchCtxCancellation(t *testing.T) {
 	}
 }
 
-// TestSolveBatchConcurrencySafety hammers SolveBatch under the race
+// TestSolveBatchConcurrencySafety hammers SolveBatchCtx under the race
 // detector: all instances share one underlying graph.
 func TestSolveBatchConcurrencySafety(t *testing.T) {
 	ins := tradeoff(10)
@@ -210,7 +147,7 @@ func TestSolveBatchConcurrencySafety(t *testing.T) {
 		instances[i] = cp
 	}
 	var solved atomic.Int32
-	items := SolveBatch(instances, Options{}, 8)
+	items := SolveBatchCtx(context.Background(), instances, Options{}, 8)
 	for _, it := range items {
 		if it.Err == nil {
 			solved.Add(1)

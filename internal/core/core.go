@@ -5,12 +5,14 @@
 //     delay/D + cost/C_LP is at most 2, computed combinatorially via a
 //     Lagrangian search over min-cost k-flows (exactly the LP optimum, by
 //     strong duality over the flow polytope with one budget row).
-//   - Solve — Algorithm 1 (Lemma 3): phase 1 followed by cycle
-//     cancellation with bicameral cycles, yielding delay ≤ D and cost
+//   - Solve and SolveCtx — Algorithm 1 (Lemma 3): phase 1 followed by
+//     cycle cancellation with bicameral cycles, yielding delay ≤ D and cost
 //     ≤ 2·C_OPT in pseudo-polynomial time.
-//   - SolveScaled — Theorem 4: cost/delay scaling around Solve, yielding
-//     the polynomial (1+ε₁, 2+ε₂) bifactor guarantee.
+//   - SolveScaledCtx — Theorem 4: cost/delay scaling around Solve,
+//     yielding the polynomial (1+ε₁, 2+ε₂) bifactor guarantee.
 //
+// SolveBatchCtx runs many instances on a worker pool. The Ctx entry points
+// take a deadline and degrade to the best feasible answer when it fires.
 // All public entry points validate the instance and return typed errors
 // for the two infeasibility modes (not enough disjoint paths; delay bound
 // unreachable).
@@ -115,33 +117,22 @@ type IterationRecord struct {
 	Type       int   `json:"type"`
 }
 
-// Options tune Solve and SolveScaled.
+// Options tune Solve, SolveCtx, SolveScaledCtx and SolveBatchCtx.
 type Options struct {
 	// Engine selects the bicameral search engine (default combinatorial).
 	Engine bicameral.Engine
 	// FullSweep uses Algorithm 3's unit-step budget schedule (ablation).
 	FullSweep bool
-	// MaxIterations caps cycle cancellations (default 10·m·k + 1000).
-	MaxIterations int
 	// Phase1Only stops after the first phase, returning the better of the
 	// two Lagrangian endpoint flows — the (2,2)-style baseline of [9].
 	Phase1Only bool
-	// DisableCostCap removes Definition 10's |c(O)| ≤ C_OPT constraint —
-	// the Figure 1 pathology switch (experiment E3). Never use it for real
-	// solving.
-	DisableCostCap bool
-	// Adversarial picks the most expensive qualifying cycle at every step
-	// (E3's worst-case-compliant selection). Never use it for real solving.
-	Adversarial bool
-	// OverestimateCRef replaces the LP lower bound with Σc(e) as the C_OPT
-	// stand-in, modelling an algorithm that lacks a principled bound — the
-	// second half of the Figure 1 pathology. Never use it for real solving.
-	OverestimateCRef bool
-	// NoSafetyNet disables returning the feasible phase-1 endpoint when it
-	// beats the cancelled solution — the paper's Algorithm 1 has no such
-	// net, and the Figure 1 ablation (E3) must run without it. Never use it
-	// for real solving.
-	NoSafetyNet bool
+	// Figure1Ablation reproduces the paper's Figure 1 pathology (experiment
+	// E3): it removes Definition 10's |c(O)| ≤ C_OPT cap, picks the most
+	// expensive qualifying cycle at every step, replaces the LP lower bound
+	// with Σc(e) as the C_OPT stand-in, and never returns the feasible
+	// phase-1 endpoint in place of a costlier cancelled solution (the
+	// paper's Algorithm 1 has no such net). Never use it for real solving.
+	Figure1Ablation bool
 	// CollectTrace records one IterationRecord per cancellation in
 	// Stats.Trace (off by default: it allocates).
 	CollectTrace bool
@@ -149,13 +140,9 @@ type Options struct {
 	// sweep (see bicameral.Options.Workers). ≤ 1 runs serially; results are
 	// bit-identical for every value.
 	Workers int
-	// NoRelaxedCap forbids consuming the relaxed-cap fallback candidate
-	// when the capped search is exhausted. By default Solve consumes it,
-	// keeping feasibility-first behaviour at the price of the cost bound.
-	NoRelaxedCap bool
 	// Metrics, when non-nil, receives solver telemetry: outcome counters
-	// recorded from Stats after each Solve/SolveScaled, per-phase duration
-	// spans, and the flow/bicameral/SPFA kernel counts of every layer
+	// recorded from Stats after each SolveCtx/SolveScaledCtx, per-phase
+	// duration spans, and the flow/bicameral/SPFA kernel counts of every layer
 	// underneath (DESIGN.md §9 catalogues the names). Nil (the default) is
 	// a no-op sink with zero cost on the solve path — `make bench-guard`
 	// enforces that SolveN60K3 allocates nothing extra with Metrics unset.
@@ -176,8 +163,8 @@ type Options struct {
 	// PollEvery is the cancellation poll stride for SolveCtx/SolveScaledCtx:
 	// kernels check the context's done channel once per PollEvery loop
 	// iterations (default cancel.DefaultPollStride). Smaller values tighten
-	// deadline latency at the price of more channel selects. Ignored by
-	// Solve/SolveScaled, which never poll.
+	// deadline latency at the price of more channel selects. Ignored under
+	// a context that is never done, such as Solve's Background.
 	PollEvery int
 	// Faults, when non-nil, is the fault-injection registry consulted at the
 	// solver's deterministic injection sites (residual update, cycle search,

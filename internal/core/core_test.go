@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -244,7 +247,7 @@ func TestSolveScaledGuarantees(t *testing.T) {
 				return true
 			}
 			ins.Bound = feas.MinDelay + r.Int63n(20)
-			res, err := SolveScaled(ins, eps, eps, Options{})
+			res, err := SolveScaledCtx(context.Background(), ins, eps, eps, Options{})
 			if err != nil {
 				return false
 			}
@@ -276,17 +279,38 @@ func TestSolveScaledGuarantees(t *testing.T) {
 
 func TestSolveScaledRejectsBadEps(t *testing.T) {
 	ins := tradeoff(10)
-	if _, err := SolveScaled(ins, 0, 1, Options{}); err == nil {
-		t.Fatal("eps1=0 accepted")
+	for _, eps := range [][2]float64{{0, 1}, {1, -2}, {math.NaN(), 1}, {1, math.NaN()}, {math.Inf(1), 1}, {1, math.Inf(1)}} {
+		if _, err := SolveScaledCtx(context.Background(), ins, eps[0], eps[1], Options{}); err == nil {
+			t.Fatalf("eps1=%g eps2=%g accepted", eps[0], eps[1])
+		}
 	}
-	if _, err := SolveScaled(ins, 1, -2, Options{}); err == nil {
-		t.Fatal("eps2<0 accepted")
+}
+
+// TestSolveScaledHugeEps: at ε = 1e300, ε·D/n′ lies far outside int64, and
+// the granularity must clamp to its ceiling, where every weight rounds to
+// 0. That is the answer of a finite ε whose θ already exceeds every edge
+// weight: on tradeoff(10), n′ = 8 and ε = 100 give θ_d = 125 and θ_c ≥ 100
+// against weights of at most 10.
+func TestSolveScaledHugeEps(t *testing.T) {
+	ins := tradeoff(10)
+	want, err := SolveScaledCtx(context.Background(), ins, 100, 100, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := SolveScaledCtx(context.Background(), ins, 1e300, 1e300, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePath := func(a, b graph.Path) bool { return slices.Equal(a.Edges, b.Edges) }
+	if got.Cost != want.Cost || got.Delay != want.Delay || !slices.EqualFunc(got.Solution.Paths, want.Solution.Paths, samePath) {
+		t.Fatalf("eps=1e300: cost %d delay %d paths %v, want cost %d delay %d paths %v",
+			got.Cost, got.Delay, got.Solution.Paths, want.Cost, want.Delay, want.Solution.Paths)
 	}
 }
 
 func TestSolveScaledExactShortcut(t *testing.T) {
 	ins := tradeoff(30)
-	res, err := SolveScaled(ins, 0.5, 0.5, Options{})
+	res, err := SolveScaledCtx(context.Background(), ins, 0.5, 0.5, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

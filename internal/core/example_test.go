@@ -48,29 +48,3 @@ func ExampleCheckFeasible() {
 	// minimal total delay: 9
 	// k=2 within bound 8: false
 }
-
-// ExampleSolveSweep computes the cost/delay tradeoff curve an operator
-// tunes an SLA against.
-func ExampleSolveSweep() {
-	g := graph.New(4)
-	g.AddEdge(0, 1, 1, 10)
-	g.AddEdge(1, 3, 1, 10)
-	g.AddEdge(0, 2, 5, 1)
-	g.AddEdge(2, 3, 5, 1)
-	g.AddEdge(0, 3, 3, 5)
-	ins := graph.Instance{G: g, S: 0, T: 3, K: 2}
-
-	for _, pt := range core.SolveSweep(ins, []int64{7, 22, 30}, core.Options{}, 2) {
-		if pt.Err != nil {
-			fmt.Printf("D=%d infeasible\n", pt.Bound)
-			continue
-		}
-		fmt.Printf("D=%d -> cost %d\n", pt.Bound, pt.Result.Cost)
-	}
-	// The middle point returns 13 where OPT=12 — within the certified 2x
-	// factor (tighter bounds can trade optimality for the guarantee).
-	// Output:
-	// D=7 -> cost 13
-	// D=22 -> cost 13
-	// D=30 -> cost 5
-}

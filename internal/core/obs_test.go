@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -76,7 +77,7 @@ func TestSolveMetricsMatchStats(t *testing.T) {
 func TestSolveScaledMetricsSingleCount(t *testing.T) {
 	reg := obs.New(&obs.ManualClock{})
 	ins := obsInstance(t)
-	if _, err := core.SolveScaled(ins, 0.5, 0.5, core.Options{Metrics: reg}); err != nil {
+	if _, err := core.SolveScaledCtx(context.Background(), ins, 0.5, 0.5, core.Options{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.SolverMetrics().Solves.Value(); got != 1 {

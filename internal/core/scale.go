@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/cancel"
 	"repro/internal/graph"
@@ -11,24 +12,20 @@ import (
 	"repro/internal/obs/rec"
 )
 
-// SolveScaled is Theorem 4: for fixed ε₁, ε₂ > 0 it rounds edge delays to
-// multiples of ε₁·D/n′ and edge costs to multiples of ε₂·Ĉ/n′ (n′ = k·n,
+// SolveScaledCtx is Theorem 4: for fixed ε₁, ε₂ > 0 it rounds edge delays
+// to multiples of ε₁·D/n′ and edge costs to multiples of ε₂·Ĉ/n′ (n′ = k·n,
 // the maximum number of edges any solution can use; Ĉ is the phase-1 LP
 // lower bound standing in for C_OPT), runs the pseudo-polynomial Solve on
 // the scaled instance, and reports the chosen paths under the ORIGINAL
 // weights. The scaled instance has delays bounded by ⌊n′/ε₁⌋ and costs by
 // O(n′/ε₂), making Solve polynomial; rounding loses at most ε₁·D in delay
 // and ε₂·Ĉ in cost, giving the (1+ε₁, 2+ε₂) bifactor.
-func SolveScaled(ins graph.Instance, eps1, eps2 float64, opt Options) (Result, error) {
-	return SolveScaledCtx(context.Background(), ins, eps1, eps2, opt)
-}
-
-// SolveScaledCtx is SolveScaled honoring ctx with SolveCtx's anytime
-// semantics: deadlines degrade to the best feasible solution reached so far
-// (here the outer phase-1 endpoint if the inner scaled solve never got that
-// far) rather than erroring, and ErrNoProgress is returned only when the
-// deadline fired before the original-weights phase 1 produced any feasible
-// k-flow.
+//
+// ctx has SolveCtx's anytime semantics: deadlines degrade to the best
+// feasible solution reached so far (here the outer phase-1 endpoint if the
+// inner scaled solve never got that far) rather than erroring, and
+// ErrNoProgress is returned only when the deadline fired before the
+// original-weights phase 1 produced any feasible k-flow.
 func SolveScaledCtx(ctx context.Context, ins graph.Instance, eps1, eps2 float64, opt Options) (Result, error) {
 	c := cancel.New(ctx, opt.PollEvery)
 	defer c.Release()
@@ -40,7 +37,7 @@ func SolveScaledCtx(ctx context.Context, ins graph.Instance, eps1, eps2 float64,
 }
 
 func solveScaled(ins graph.Instance, eps1, eps2 float64, opt Options, c *cancel.Canceller) (Result, error) {
-	if eps1 <= 0 || eps2 <= 0 {
+	if !(eps1 > 0) || !(eps2 > 0) || math.IsInf(eps1, 1) || math.IsInf(eps2, 1) {
 		return Result{}, fmt.Errorf("krsp: epsilons must be positive (got %g, %g)", eps1, eps2)
 	}
 	if err := ins.Validate(); err != nil {
@@ -67,17 +64,12 @@ func solveScaled(ins graph.Instance, eps1, eps2 float64, opt Options, c *cancel.
 	if nPrime < 1 {
 		nPrime = 1
 	}
-	// θd, θc are the rounding granularities; clamp to ≥ 1 (θ = 1 keeps the
-	// weight exact, which simply means the instance was already small).
-	thetaD := int64(eps1 * float64(ins.Bound) / float64(nPrime))
-	if thetaD < 1 {
-		thetaD = 1
-	}
-	cHat := p1.CLPCeil
-	thetaC := int64(eps2 * float64(cHat) / float64(nPrime))
-	if thetaC < 1 {
-		thetaC = 1
-	}
+	// θd, θc are the rounding granularities, clamped to [1, 2^62] before
+	// the conversion, since Go leaves a float outside int64's range to the
+	// platform. θ = 1 keeps the weights exact (the instance was already
+	// small); θ = 2^62 exceeds every weight, which then rounds to 0.
+	thetaD := int64(min(max(eps1*float64(ins.Bound)/float64(nPrime), 1), 1<<62))
+	thetaC := int64(min(max(eps2*float64(p1.CLPCeil)/float64(nPrime), 1), 1<<62))
 
 	// The scale span covers rounding plus the inner pseudo-polynomial
 	// solve; the inner run goes through the internal solve so it is not

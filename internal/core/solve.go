@@ -18,8 +18,8 @@ import (
 // cancellation with bicameral cycles until the delay bound holds. On
 // feasible instances the output satisfies Delay ≤ D and, whenever the
 // cap-respecting search sufficed (Stats.RelaxedCap == false), Cost ≤
-// 2·C_OPT. Pseudo-polynomial in the weight magnitudes; use SolveScaled for
-// the polynomial (1+ε₁, 2+ε₂) variant.
+// 2·C_OPT. Pseudo-polynomial in the weight magnitudes; use SolveScaledCtx
+// for the polynomial (1+ε₁, 2+ε₂) variant.
 func Solve(ins graph.Instance, opt Options) (Result, error) {
 	return SolveCtx(context.Background(), ins, opt)
 }
@@ -47,7 +47,7 @@ func SolveCtx(ctx context.Context, ins graph.Instance, opt Options) (Result, err
 // recordOutcome folds one finished solve into the metric sink, reading
 // everything from the returned Stats so the cancellation loop itself
 // carries no record calls. Nil-safe; called once per exported entry point
-// (Solve, SolveScaled — never by the internal solve, which would
+// (SolveCtx, SolveScaledCtx — never by the internal solve, which would
 // double-count the scaled inner run).
 func recordOutcome(m *obs.Registry, res Result, err error) {
 	sm := m.SolverMetrics()
@@ -126,16 +126,13 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 	// C_ref is the C_OPT stand-in: the LP lower bound, escalated on demand
 	// but never beyond the known feasible cost (C_OPT ≤ c(Lo)).
 	cRef := p1.CLPCeil
-	if opt.OverestimateCRef {
+	if opt.Figure1Ablation {
 		cRef = g.SumCost() + 1
 	}
 	if cRef <= curCost {
 		cRef = curCost + 1
 	}
-	maxIter := opt.MaxIterations
-	if maxIter <= 0 {
-		maxIter = 10*g.NumEdges()*ins.K + 1000
-	}
+	maxIter := 10*g.NumEdges()*ins.K + 1000
 
 	// Build the residual once and maintain it incrementally: applying a
 	// candidate flips exactly the edges on its cycles (rg.Update), which is
@@ -169,7 +166,7 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 			return degrade()
 		}
 		cap := cRef
-		if opt.DisableCostCap {
+		if opt.Figure1Ablation {
 			// Figure 1 ablation: “no cap” ≈ a cap beyond any cycle cost.
 			cap = g.SumCost() + 1
 		}
@@ -181,7 +178,7 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 		cand, bst, found := bicameral.Find(rg, params, bicameral.Options{
 			Engine:      opt.Engine,
 			FullSweep:   opt.FullSweep,
-			Adversarial: opt.Adversarial,
+			Adversarial: opt.Figure1Ablation,
 			Workers:     opt.Workers,
 			Metrics:     m,
 			Recorder:    r,
@@ -209,8 +206,8 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 				continue
 			}
 			// Cap already at the feasible cost; last resort is the
-			// relaxed-cap fallback, unless disabled.
-			if bst.Fallback != nil && !opt.NoRelaxedCap {
+			// relaxed-cap fallback.
+			if bst.Fallback != nil {
 				stats.RelaxedCap = true
 				cand = *bst.Fallback
 				r.Record(rec.KindRelaxedCap, cand.Cost, cand.Delay, 0, 0)
@@ -285,7 +282,7 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 	}
 	// Return the cheaper of the cancelled solution and the feasible
 	// endpoint (both meet the bound).
-	if loCost < curCost && !opt.NoSafetyNet {
+	if loCost < curCost && !opt.Figure1Ablation {
 		stats.FellBackToPhase1 = true
 		r.Record(rec.KindFallback, rec.FallbackCheaper, 0, 0, 0)
 		return finish(ins, p1.Lo.Edges, p1, stats, false, m, r)

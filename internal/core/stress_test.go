@@ -54,37 +54,3 @@ func TestStressRandomTopologies(t *testing.T) {
 		t.Fatalf("only %d/60 rounds produced feasible instances", solved)
 	}
 }
-
-// TestStressVertexDisjoint does the same for the vertex-disjoint variant.
-func TestStressVertexDisjoint(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress test")
-	}
-	solved := 0
-	for seed := int64(0); seed < 25; seed++ {
-		ins := gen.ER(seed+500, 16, 0.3, gen.DefaultWeights())
-		ins.K = 2
-		bounded, ok := gen.WithBound(ins, 1.5)
-		if !ok {
-			continue
-		}
-		res, err := core.SolveVertexDisjoint(bounded, core.Options{})
-		if err != nil {
-			continue // vertex-disjointness can be genuinely infeasible
-		}
-		seen := map[graph.NodeID]bool{}
-		for _, p := range res.Solution.Paths {
-			nodes := p.Nodes(bounded.G)
-			for _, v := range nodes[1 : len(nodes)-1] {
-				if seen[v] {
-					t.Fatalf("seed %d: interior vertex %d shared", seed, v)
-				}
-				seen[v] = true
-			}
-		}
-		solved++
-	}
-	if solved < 10 {
-		t.Fatalf("only %d/25 vertex-disjoint rounds solved", solved)
-	}
-}

@@ -1,7 +1,6 @@
-// Package exact provides ground-truth kRSP solvers for small instances:
+// Package exact provides a ground-truth kRSP solver for small instances:
 // an exponential brute-force enumerator over k-tuples of edge-disjoint
-// paths, and an LP-guided branch & bound that scales a little further.
-// They exist to validate the approximation guarantees of the core
+// paths. It exists to validate the approximation guarantees of the core
 // algorithms (experiments E1, E3, E5) — never to solve production-sized
 // instances.
 package exact

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"time"
@@ -61,10 +62,10 @@ func RunE11(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// RunE12 measures the parallel speedup of SolveBatch — the SDN-controller
+// RunE12 measures the parallel speedup of SolveBatchCtx — the SDN-controller
 // workload of re-provisioning many tunnel pairs at once.
 func RunE12(cfg Config) (*Table, error) {
-	t := NewTable("E12: parallel batch speedup (SolveBatch)",
+	t := NewTable("E12: parallel batch speedup (SolveBatchCtx)",
 		"workers", "batch", "wall time", "speedup", "all solved")
 	n := 30
 	batchSize := 4 * cfg.seeds()
@@ -93,7 +94,7 @@ func RunE12(cfg Config) (*Table, error) {
 	var base float64
 	for _, w := range workerSet {
 		start := time.Now()
-		items := core.SolveBatch(instances, core.Options{}, w)
+		items := core.SolveBatchCtx(context.Background(), instances, core.Options{}, w)
 		wall := time.Since(start).Seconds()
 		solved := 0
 		for _, it := range items {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/auxgraph"
@@ -146,7 +147,7 @@ func RunE3(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("E3: capped solve: %w", err)
 		}
-		uncapped, err := core.Solve(ins, core.Options{DisableCostCap: true, Adversarial: true, OverestimateCRef: true, NoSafetyNet: true})
+		uncapped, err := core.Solve(ins, core.Options{Figure1Ablation: true})
 		if err != nil {
 			return nil, fmt.Errorf("E3: uncapped solve: %w", err)
 		}
@@ -239,7 +240,7 @@ func roundtripCount(a *auxgraph.Aux) (roundtrips, mismatches int) {
 	return roundtrips, mismatches
 }
 
-// RunE5 sweeps ε for SolveScaled (Theorem 4) against the pseudo-polynomial
+// RunE5 sweeps ε for SolveScaledCtx (Theorem 4) against the pseudo-polynomial
 // Solve, reporting quality and work.
 func RunE5(cfg Config) (*Table, error) {
 	t := NewTable("E5: scaling tradeoff (Theorem 4)",
@@ -283,7 +284,7 @@ func RunE5(cfg Config) (*Table, error) {
 			var res core.Result
 			dur, err := measure(func() error {
 				var e error
-				res, e = core.SolveScaled(s.ins, eps, eps, core.Options{})
+				res, e = core.SolveScaledCtx(context.Background(), s.ins, eps, eps, core.Options{})
 				return e
 			})
 			if err != nil {

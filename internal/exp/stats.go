@@ -17,19 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the sample standard deviation (0 for fewer than 2 values).
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		s += (x - m) * (x - m)
-	}
-	return math.Sqrt(s / float64(len(xs)-1))
-}
-
 // Max returns the maximum (0 for empty input).
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -42,21 +29,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// GeoMean returns the geometric mean of positive values (0 otherwise).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // Percentile returns the p-th percentile (p ∈ [0,100]) by nearest-rank.

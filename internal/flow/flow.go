@@ -2,8 +2,7 @@
 // digraph type: Dinic max-flow (feasibility: do k edge-disjoint paths
 // exist?), minimum-cost k-flow by successive shortest paths with Johnson
 // potentials (the Suurballe generalization used throughout the kRSP
-// algorithms), decomposition of unit flows into paths and cycles, and a
-// vertex-splitting transform for vertex-disjoint variants.
+// algorithms), and decomposition of unit flows into paths and cycles.
 package flow
 
 import (

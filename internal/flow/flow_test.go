@@ -377,54 +377,6 @@ func TestSuurballeMinSum(t *testing.T) {
 	}
 }
 
-func TestSplitVertices(t *testing.T) {
-	g := twoDisjoint()
-	sp := SplitVertices(g)
-	if sp.G.NumNodes() != 8 {
-		t.Fatalf("split nodes = %d", sp.G.NumNodes())
-	}
-	if sp.G.NumEdges() != g.NumNodes()+g.NumEdges() {
-		t.Fatalf("split edges = %d", sp.G.NumEdges())
-	}
-	// Vertex-disjoint max flow from Out[0] to In[3]: paths 0-1-3 and 0-2-3
-	// share no interior vertex, so 2.
-	if got := MaxDisjointPaths(sp.G, sp.Out[0], sp.In[3]); got != 2 {
-		t.Fatalf("vertex-disjoint flow = %d", got)
-	}
-	// A graph where 2 edge-disjoint paths exist but only 1 vertex-disjoint.
-	h := graph.New(4)
-	h.AddEdge(0, 1, 0, 0)
-	h.AddEdge(1, 3, 0, 0)
-	h.AddEdge(0, 1, 0, 0) // parallel
-	h.AddEdge(1, 3, 0, 0) // parallel
-	if MaxDisjointPaths(h, 0, 3) != 2 {
-		t.Fatal("edge-disjoint should be 2")
-	}
-	sph := SplitVertices(h)
-	if got := MaxDisjointPaths(sph.G, sph.Out[0], sph.In[3]); got != 1 {
-		t.Fatalf("vertex-disjoint flow = %d, want 1", got)
-	}
-}
-
-func TestProjectPath(t *testing.T) {
-	g := twoDisjoint()
-	sp := SplitVertices(g)
-	f, err := MinCostKFlow(sp.G, sp.Out[0], sp.In[3], 2, shortest.LinCost)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, _, err := Decompose(sp.G, f.Edges, sp.Out[0], sp.In[3], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range paths {
-		orig := sp.ProjectPath(p)
-		if err := orig.Validate(g, 0, 3, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestMinCostKFlowDelayWeight(t *testing.T) {
 	g := twoDisjoint()
 	f, err := MinCostKFlow(g, 0, 3, 2, shortest.LinDelay)

@@ -52,18 +52,42 @@ func augmentAlong(g *graph.Digraph, parent []arc, inFlow []bool, s, t graph.Node
 	}
 }
 
-func minCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, w shortest.Weight, m *obs.FlowMetrics, c *cancel.Canceller) (UnitFlow, error) {
+// dijkstra returns the distances from s under w over the adjacency lists
+// (shortest.Inf where unreachable); every weight must be nonnegative.
+func dijkstra(g *graph.Digraph, s graph.NodeID, w func(graph.Edge) int64) []int64 {
+	dist := make([]int64, g.NumNodes())
+	done := make([]bool, g.NumNodes())
+	for v := range dist {
+		dist[v] = shortest.Inf
+	}
+	dist[s] = 0
+	h := pq.New(g.NumNodes())
+	h.Push(int(s), 0)
+	for h.Len() > 0 {
+		ui, du := h.Pop()
+		u := graph.NodeID(ui)
+		done[u] = true
+		for _, id := range g.Out(u) {
+			e := g.Edge(id)
+			if nd := du + w(e); !done[e.To] && nd < dist[e.To] {
+				dist[e.To] = nd
+				h.Push(int(e.To), nd)
+			}
+		}
+	}
+	return dist
+}
+
+func minCostKFlow(g *graph.Digraph, s, t graph.NodeID, k int, w func(graph.Edge) int64, m *obs.FlowMetrics, c *cancel.Canceller) (UnitFlow, error) {
 	if k < 0 {
 		return UnitFlow{}, fmt.Errorf("flow: negative k=%d", k)
 	}
 	var rounds, relaxed int64
 	n := g.NumNodes()
 	inFlow := make([]bool, g.NumEdges())
-	// Potentials initialized by a plain Dijkstra (weights nonnegative). The
-	// workspace-backed tree aliases ws, which is not reused below, so its
-	// Dist doubles as the (mutated) potential array without a copy.
-	ws := shortest.NewWorkspace(n)
-	pot := shortest.DijkstraInto(ws, g, s, w).Dist
+	// Potentials initialized by a plain Dijkstra (weights nonnegative); the
+	// returned array doubles as the (mutated) potential array.
+	pot := dijkstra(g, s, w)
 
 	// Scratch shared by the k augmentation rounds: allocating it per round
 	// dominated small-instance solves (Phase1 calls this in a Lagrangian

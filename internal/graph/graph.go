@@ -3,7 +3,9 @@
 // cost and delay on every edge, matching the kRSP problem definition
 // (Definition 2 of the paper). Residual constructions elsewhere relax the
 // nonnegativity, so the types here deliberately allow negative weights and
-// parallel edges.
+// parallel edges. Paths, cycles and edge sets are edge-ID sequences and
+// sets over one graph; the paper's ⊕ (Section 2.1) is applied by package
+// residual, which maps residual cycles onto a solution's edge set.
 package graph
 
 import (
@@ -124,12 +126,6 @@ func (g *Digraph) Out(v NodeID) []EdgeID { g.checkNode(v); return g.out[v] }
 // the graph and must not be modified.
 func (g *Digraph) In(v NodeID) []EdgeID { g.checkNode(v); return g.in[v] }
 
-// OutDegree reports the number of edges leaving v.
-func (g *Digraph) OutDegree(v NodeID) int { g.checkNode(v); return len(g.out[v]) }
-
-// InDegree reports the number of edges entering v.
-func (g *Digraph) InDegree(v NodeID) int { g.checkNode(v); return len(g.in[v]) }
-
 // Clone returns a deep copy of g, laid out by build: O(1) allocations.
 func (g *Digraph) Clone() *Digraph {
 	return build(g.NumNodes(), append([]Edge(nil), g.edges...))
@@ -167,16 +163,6 @@ func carve(rows [][]EdgeID, deg []int32, m int) {
 		rows[v] = back[o : o : o+int(d)]
 		o += int(d)
 	}
-}
-
-// Reverse returns a new graph with every edge direction flipped. Edge IDs,
-// costs and delays are preserved.
-func (g *Digraph) Reverse() *Digraph {
-	r := New(g.NumNodes())
-	for _, e := range g.edges {
-		r.AddEdge(e.To, e.From, e.Cost, e.Delay)
-	}
-	return r
 }
 
 // TotalCost sums the cost of the identified edges.
@@ -343,7 +329,7 @@ func (g *Digraph) String() string {
 func (g *Digraph) checkNode(v NodeID) {
 	if v < 0 || int(v) >= len(g.out) {
 		//lint:allow nopanic index-range invariant, same contract as slice indexing
-		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", v, len(g.out))) //lint:allow contracts panic path: formats only once the invariant is already broken
+		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", v, len(g.out)))
 	}
 }
 

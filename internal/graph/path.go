@@ -12,9 +12,6 @@ type Path struct {
 	Edges []EdgeID
 }
 
-// PathFromEdges builds a Path from an explicit edge sequence.
-func PathFromEdges(ids ...EdgeID) Path { return Path{Edges: append([]EdgeID(nil), ids...)} }
-
 // Len reports the number of edges.
 func (p Path) Len() int { return len(p.Edges) }
 

@@ -93,12 +93,6 @@ func NewProblem(n int) *Problem {
 	return &Problem{numVars: n, obj: make([]float64, n)}
 }
 
-// NumVars reports the number of structural variables.
-func (p *Problem) NumVars() int { return p.numVars }
-
-// NumRows reports the number of constraint rows.
-func (p *Problem) NumRows() int { return len(p.rows) }
-
 // SetObjective sets the objective coefficient of variable j.
 func (p *Problem) SetObjective(j int, c float64) {
 	p.check(j)

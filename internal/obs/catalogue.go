@@ -80,11 +80,11 @@ func (m *ServerMetrics) AddInflight(d int64) {
 	m.Inflight.Add(d)
 }
 
-// SolverMetrics instruments core.Solve / core.SolveScaled outcomes. The
+// SolverMetrics instruments core.SolveCtx / core.SolveScaledCtx outcomes. The
 // per-solve counters are recorded post-hoc from the returned core.Stats so
 // the cancellation loop itself gains no record calls.
 type SolverMetrics struct {
-	// Solves counts completed Solve/SolveScaled calls (success or error).
+	// Solves counts completed SolveCtx/SolveScaledCtx calls (success or error).
 	Solves *Counter
 	// Errors counts solves that returned an error (incl. ErrNoKPaths).
 	Errors *Counter
@@ -355,7 +355,7 @@ func (r *Registry) registerCatalogue() {
 
 	// core solve outcomes.
 	r.Solver.Solves = r.Counter("krsp_solves_total",
-		"Completed Solve/SolveScaled calls, success or error.")
+		"Completed SolveCtx/SolveScaledCtx calls, success or error.")
 	r.Solver.Errors = r.Counter("krsp_solve_errors_total",
 		"Solves that returned an error (incl. no-k-paths).")
 	r.Solver.Exact = r.Counter("krsp_solves_exact_total",

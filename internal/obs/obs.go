@@ -65,7 +65,7 @@ type Registry struct {
 
 	// Server instruments cmd/krspd's HTTP surface.
 	Server ServerMetrics
-	// Solver instruments core.Solve / core.SolveScaled outcomes.
+	// Solver instruments core.SolveCtx / core.SolveScaledCtx outcomes.
 	Solver SolverMetrics
 	// Flow instruments flow.MinCostKFlow.
 	Flow FlowMetrics

@@ -244,18 +244,6 @@ func (k Kind) Info() KindInfo {
 	return kinds[k]
 }
 
-// ArgNames returns the named (used) argument slots of k.
-func (k Kind) ArgNames() []string {
-	info := k.Info()
-	var out []string
-	for _, a := range info.Args {
-		if a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // KindByName resolves a wire name back to its Kind; ok is false for
 // unknown names (a newer or older schema).
 func KindByName(name string) (Kind, bool) {

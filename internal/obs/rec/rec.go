@@ -46,7 +46,7 @@ const DefaultCapacity = 4096
 
 // Event is one recorded algorithm event. It is a fixed-size value type —
 // recording one never allocates. Args are interpreted per Kind; the
-// catalogue names them (see ArgNames).
+// catalogue names them (see Kind.Info).
 type Event struct {
 	// Seq is the global sequence number of the event (0-based, monotone
 	// across ring wraps — Seq differences count dropped events).

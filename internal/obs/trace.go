@@ -14,7 +14,7 @@ const (
 	PhaseDecompose
 	// PhaseScale covers Theorem 4's scaling wrapper around the core solve.
 	PhaseScale
-	// PhaseTotal covers a whole Solve/SolveScaled call end to end.
+	// PhaseTotal covers a whole SolveCtx/SolveScaledCtx call end to end.
 	PhaseTotal
 	// NumPhases sizes per-phase arrays.
 	NumPhases

@@ -188,9 +188,7 @@ func (h *Heap) Grow(n int) {
 		sizes[levels] = w
 		trieWords += w
 	}
-	//lint:allow contracts amortized: reallocates only when the item universe expands
 	words := make([]uint64, n+trieWords)
-	//lint:allow contracts amortized: reallocates only when the item universe expands; Push and Pop then never allocate
 	links := make([]link, n)
 	keys := words[:n:n]
 	copy(keys, h.keys)

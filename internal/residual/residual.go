@@ -132,18 +132,13 @@ func (rg *Graph) ReversedSeeds() []graph.NodeID {
 func (rg *Graph) CycleCost(c graph.Cycle) int64  { return rg.view.TotalCost(c.Edges) }
 func (rg *Graph) CycleDelay(c graph.Cycle) int64 { return rg.view.TotalDelay(c.Edges) }
 
-// Apply performs one cycle cancellation (Proposition 7): it returns the
-// edge set of {P_1..P_k} ⊕ O for a cycle O of the residual graph. Forward
-// residual edges enter the solution; reversed residual edges remove their
-// originals. The cycle must be a closed walk of the current residual;
-// violations return an error (they indicate a stale cycle).
-func (rg *Graph) Apply(cycle graph.Cycle) (graph.EdgeSet, error) {
-	return rg.ApplyAll([]graph.Cycle{cycle})
-}
-
-// ApplyAll cancels a set of edge-disjoint residual cycles in one step
-// (Proposition 7 covers sets). Residual edges map bijectively to original
-// edges, so edge-disjoint cycles can never conflict on an original edge.
+// ApplyAll performs cycle cancellation (Proposition 7): it returns the
+// edge set of {P_1..P_k} ⊕ O for a set O of edge-disjoint cycles of the
+// residual graph. Forward residual edges enter the solution; reversed
+// residual edges remove their originals. Residual edges map bijectively to
+// original edges, so edge-disjoint cycles can never conflict on an
+// original edge. Every cycle must be a closed walk of the current
+// residual; violations return an error (they indicate a stale cycle).
 func (rg *Graph) ApplyAll(cycles []graph.Cycle) (graph.EdgeSet, error) {
 	if err := rg.check(cycles); err != nil {
 		return graph.EdgeSet{}, err
@@ -165,7 +160,8 @@ func (rg *Graph) ApplyAll(cycles []graph.Cycle) (graph.EdgeSet, error) {
 // by Proposition 8 the result is exactly a set of edge-disjoint cycles of
 // the residual graph built against `cur`. Returned cycles live in the view
 // (i.e. edges of other \ cur appear forward, edges of cur \ other appear
-// reversed). Used by tests of Lemma 9 and by the exact branch & bound.
+// reversed). Used by tests of Lemma 9 and by krspbench's residual-update
+// benchmark.
 func (rg *Graph) SolutionCycles(other graph.EdgeSet) ([]graph.Cycle, error) {
 	// Residual edge for original e: same ID by construction.
 	v := rg.view

@@ -78,7 +78,7 @@ func TestApplyCycleSwapsPaths(t *testing.T) {
 	if err := cyc.Validate(rg.View(), true); err != nil {
 		t.Fatal(err)
 	}
-	next, err := rg.Apply(cyc)
+	next, err := rg.ApplyAll([]graph.Cycle{cyc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestApplyRejectsStaleCycle(t *testing.T) {
 	// as forward cannot validate contiguously; craft a double-remove case
 	// instead via a fake duplicate traversal.
 	bad := graph.Cycle{Edges: []graph.EdgeID{99}}
-	if _, err := rg.Apply(bad); err == nil {
+	if _, err := rg.ApplyAll([]graph.Cycle{bad}); err == nil {
 		t.Fatal("bogus cycle accepted")
 	}
 }
@@ -144,7 +144,7 @@ func TestProposition7_ApplyPreservesKDisjointFlow(t *testing.T) {
 		if ok {
 			return true
 		}
-		next, err := rg.Apply(cyc)
+		next, err := rg.ApplyAll([]graph.Cycle{cyc})
 		if err != nil {
 			return false
 		}

@@ -1,7 +1,6 @@
 package shortest_test
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -16,13 +15,11 @@ import (
 // detours close negative cycles through the reversed edges.
 func lgridResidual() *graph.CSR {
 	ins := gen.LayeredGrid(7, 50, 100, gen.DefaultWeights())
-	g := ins.G
-	delay := func(e graph.Edge) int64 { return e.Delay }
-	tree := shortest.DijkstraInto(shortest.NewWorkspace(g.NumNodes()), g, ins.S, delay)
-	c := graph.NewCSR(g)
+	c := graph.NewCSR(ins.G)
+	tree, _, _ := shortest.BellmanFordCSRInto(shortest.NewWorkspace(c.NumNodes()), c, ins.S, shortest.LinDelay)
 	for v := ins.T; v != ins.S; {
 		id := tree.Parent[v]
-		v = g.Tail(id)
+		v = c.Tail(id)
 		c.Flip(id)
 	}
 	return c
@@ -75,38 +72,5 @@ func TestSPFAAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(5, func() { tc.run() }); got != want {
 			t.Fatalf("%s: %v allocs/run, want %v", tc.name, got, want)
 		}
-	}
-}
-
-// TestDijkstraGrownWorkspaceAllocs is the runtime witness behind the
-// heap's "New/Grow precap" waiver under DijkstraInto's noalloc contract
-// (the Dijkstra under Yen's search, over the same pq.Heap the min-cost-flow
-// kernel runs): a workspace created small and grown to N≈5k must serve its
-// first Dijkstra without allocating. The count is taken around that single call
-// with runtime.ReadMemStats, because testing.AllocsPerRun's warm-up run
-// would absorb any first-call growth. Mallocs is process-wide, so a
-// goroutine left over from another test can add to one reading; the
-// witness takes the least of three fresh workspaces, while a kernel that
-// allocates does so on every first call.
-func TestDijkstraGrownWorkspaceAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("N≈5k allocation witness: skipped under -short")
-	}
-	ins := gen.LayeredGrid(7, 50, 100, gen.DefaultWeights())
-	least := ^uint64(0)
-	for attempt := 0; attempt < 3; attempt++ {
-		ws := shortest.NewWorkspace(4)
-		ws.Grow(ins.G.NumNodes())
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		tree := shortest.DijkstraInto(ws, ins.G, ins.S, shortest.CostWeight)
-		runtime.ReadMemStats(&after)
-		if tree.Dist[ins.T] == shortest.Inf {
-			t.Fatal("t unreachable: the witness searched nothing")
-		}
-		least = min(least, after.Mallocs-before.Mallocs)
-	}
-	if least != 0 {
-		t.Fatalf("first DijkstraInto on a grown workspace: %d allocations, want 0", least)
 	}
 }

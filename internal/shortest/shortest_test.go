@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/pq"
 )
 
 func mkWeighted(t *testing.T) *graph.Digraph {
@@ -20,10 +21,18 @@ func mkWeighted(t *testing.T) *graph.Digraph {
 	return g
 }
 
+// costTree runs Yen's Dijkstra from s with fresh scratch and no bans.
+func costTree(g *graph.Digraph, s graph.NodeID) Tree {
+	n := g.NumNodes()
+	tr := Tree{Dist: make([]int64, n), Parent: make([]graph.EdgeID, n)}
+	dijkstra(g, s, pq.New(n), make([]bool, n), tr, make([]bool, g.NumEdges()), make([]bool, n))
+	return tr
+}
+
 func TestBFSUnreachable(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 1, 1)
-	tr := DijkstraInto(NewWorkspace(3), g, 0, CostWeight)
+	tr := costTree(g, 0)
 	if tr.Dist[2] != Inf {
 		t.Fatal("vertex 2 should be unreachable")
 	}
@@ -34,7 +43,7 @@ func TestBFSUnreachable(t *testing.T) {
 
 func TestDijkstraCost(t *testing.T) {
 	g := mkWeighted(t)
-	tr := DijkstraInto(NewWorkspace(g.NumNodes()), g, 0, CostWeight)
+	tr := costTree(g, 0)
 	want := []int64{0, 1, 3, 4}
 	for v, d := range want {
 		if tr.Dist[v] != d {
@@ -50,14 +59,6 @@ func TestDijkstraCost(t *testing.T) {
 	}
 }
 
-func TestDijkstraDelay(t *testing.T) {
-	g := mkWeighted(t)
-	tr := DijkstraInto(NewWorkspace(g.NumNodes()), g, 0, func(e graph.Edge) int64 { return e.Delay })
-	if tr.Dist[3] != 2 { // 0→2→3: 1+1
-		t.Fatalf("delay dist[3]=%d", tr.Dist[3])
-	}
-}
-
 func TestDijkstraPanicsOnNegative(t *testing.T) {
 	g := graph.New(2)
 	g.AddEdge(0, 1, -1, 0)
@@ -66,7 +67,7 @@ func TestDijkstraPanicsOnNegative(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	DijkstraInto(NewWorkspace(2), g, 0, CostWeight)
+	costTree(g, 0)
 }
 
 // bellmanFordFrom runs the single-source CSR Bellman–Ford on g's view.
@@ -94,7 +95,7 @@ func TestBellmanFordMatchesDijkstraNonneg(t *testing.T) {
 		if !ok {
 			return false // nonnegative weights: no negative cycle possible
 		}
-		dj := DijkstraInto(NewWorkspace(n), g, 0, CostWeight)
+		dj := costTree(g, 0)
 		for v := 0; v < n; v++ {
 			if bf.Dist[v] != dj.Dist[v] {
 				return false

@@ -54,12 +54,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		s := graph.NodeID(r.Intn(n))
 		fresh := func() *Workspace { return NewWorkspace(n) }
 
-		if !negative {
-			want := DijkstraInto(fresh(), g, s, CostWeight)
-			got := DijkstraInto(ws, g, s, CostWeight)
-			sameTree(t, "dijkstra", want, got)
-		}
-
 		wantT, wantCyc, wantOK := SPFAAllCSRInto(fresh(), c, LinCost, nil)
 		gotT, gotCyc, gotOK := SPFAAllCSRInto(ws, c, LinCost, nil)
 		if wantOK != gotOK {
@@ -91,6 +85,13 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 		}
 		sameCycle(t, "spfaBounded", wantCyc2, gotCyc2)
 	}
+	// Grow never shrinks: a small request after the large graphs keeps the
+	// arrays.
+	grown := cap(ws.dist)
+	ws.Grow(1)
+	if cap(ws.dist) != grown {
+		t.Fatalf("Grow(1) shrank the workspace from %d to %d", grown, cap(ws.dist))
+	}
 }
 
 // TestWorkspaceTreeAliasing documents the aliasing contract: a returned
@@ -99,33 +100,15 @@ func TestWorkspaceTreeAliasing(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 5, 1)
 	g.AddEdge(1, 2, 7, 1)
+	c := graph.NewCSR(g)
 	ws := NewWorkspace(3)
-	first := DijkstraInto(ws, g, 0, CostWeight)
+	first, _, _ := BellmanFordCSRInto(ws, c, 0, LinCost)
 	kept := first.Clone()
-	_ = DijkstraInto(ws, g, 2, CostWeight) // clobbers `first`
+	_, _, _ = BellmanFordCSRInto(ws, c, 2, LinCost) // clobbers `first`
 	if first.Dist[1] == kept.Dist[1] && first.Dist[0] == kept.Dist[0] {
 		t.Fatal("second search did not reuse the workspace arrays")
 	}
 	if kept.Dist[2] != 12 || kept.Dist[1] != 5 {
 		t.Fatalf("clone corrupted: %v", kept.Dist)
-	}
-}
-
-// TestWorkspaceGrowPreservesHeap: growing must not lose queued heap items
-// (pq.Heap.Grow keeps them), and repeated Grow calls must be idempotent.
-func TestWorkspaceGrowPreservesHeap(t *testing.T) {
-	ws := NewWorkspace(4)
-	ws.heap.Push(2, 10)
-	ws.Grow(64)
-	if ws.heap.Len() != 1 {
-		t.Fatalf("heap lost items on grow: len=%d", ws.heap.Len())
-	}
-	idx, key := ws.heap.Pop()
-	if idx != 2 || key != 10 {
-		t.Fatalf("heap item corrupted: (%d,%d)", idx, key)
-	}
-	ws.Grow(8) // shrink request: no-op
-	if cap(ws.dist) < 64 {
-		t.Fatal("Grow shrank the workspace")
 	}
 }

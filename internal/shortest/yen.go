@@ -4,22 +4,28 @@ import (
 	"sort"
 
 	"repro/internal/graph"
+	"repro/internal/pq"
 )
 
 // KShortestPaths implements Yen's algorithm: the K cheapest vertex-simple
-// s→t paths under w in nondecreasing weight order (fewer than K are
-// returned when the graph runs out of simple paths). Weights must be
-// nonnegative. It backs the Yen-greedy baseline and is generally useful as
-// a substrate for path-enumeration heuristics.
-func KShortestPaths(g *graph.Digraph, s, t graph.NodeID, K int, w Weight) []graph.Path {
+// s→t paths by edge cost, in nondecreasing cost order (fewer than K are
+// returned when the graph runs out of simple paths). Costs must be
+// nonnegative. It backs the Yen-greedy baseline.
+func KShortestPaths(g *graph.Digraph, s, t graph.NodeID, K int) []graph.Path {
 	if K <= 0 {
 		return nil
 	}
-	// One workspace serves the initial search and every spur search: each
-	// tree is consumed (PathTo) before the next search overwrites it.
-	ws := NewWorkspace(g.NumNodes())
-	first := DijkstraInto(ws, g, s, w)
-	p0, ok := first.PathTo(g, t)
+	// One queue, tree and pair of ban masks serve the initial search and
+	// every spur search: each tree is consumed (PathTo) before the next
+	// search overwrites it, and each spur clears the bans it set.
+	n := g.NumNodes()
+	h := pq.New(n)
+	done := make([]bool, n)
+	tr := Tree{Dist: make([]int64, n), Parent: make([]graph.EdgeID, n)}
+	bannedEdge := make([]bool, g.NumEdges())
+	bannedNode := make([]bool, n)
+	dijkstra(g, s, h, done, tr, bannedEdge, bannedNode)
+	p0, ok := tr.PathTo(g, t)
 	if !ok {
 		return nil
 	}
@@ -36,21 +42,28 @@ func KShortestPaths(g *graph.Digraph, s, t graph.NodeID, K int, w Weight) []grap
 		prevNodes := prev.Nodes(g)
 		// Spur from every vertex of the last accepted path.
 		for i := 0; i < len(prev.Edges); i++ {
-			spurNode := prevNodes[i]
 			root := prev.Edges[:i]
 			// Ban edges that would recreate any accepted path sharing this
-			// root, and ban root vertices to keep paths simple.
-			bannedEdges := graph.NewEdgeSet()
+			// root, and ban root vertices to keep paths simple. The spur
+			// vertex is not among them: accepted paths are simple.
 			for _, ap := range accepted {
 				if len(ap.Edges) > i && equalPrefix(ap.Edges, root, i) {
-					bannedEdges.Add(ap.Edges[i])
+					bannedEdge[ap.Edges[i]] = true
 				}
 			}
-			bannedNodes := map[graph.NodeID]bool{}
 			for _, v := range prevNodes[:i] {
-				bannedNodes[v] = true
+				bannedNode[v] = true
 			}
-			spur, ok := dijkstraRestricted(ws, g, spurNode, t, w, bannedEdges, bannedNodes)
+			dijkstra(g, prevNodes[i], h, done, tr, bannedEdge, bannedNode)
+			spur, ok := tr.PathTo(g, t)
+			for _, ap := range accepted {
+				if len(ap.Edges) > i {
+					bannedEdge[ap.Edges[i]] = false
+				}
+			}
+			for _, v := range prevNodes[:i] {
+				bannedNode[v] = false
+			}
 			if !ok {
 				continue
 			}
@@ -60,11 +73,7 @@ func KShortestPaths(g *graph.Digraph, s, t graph.NodeID, K int, w Weight) []grap
 				continue
 			}
 			seen[key] = true
-			var wt int64
-			for _, id := range full.Edges {
-				wt += w(g.Edge(id)) //lint:allow weightovf path sum; callers pass MaxWeight-bounded weightings
-			}
-			pool = append(pool, cand{full, wt})
+			pool = append(pool, cand{full, full.Cost(g)})
 		}
 		if len(pool) == 0 {
 			break
@@ -76,32 +85,39 @@ func KShortestPaths(g *graph.Digraph, s, t graph.NodeID, K int, w Weight) []grap
 	return accepted
 }
 
-// dijkstraRestricted runs Dijkstra avoiding banned edges and vertices,
-// reusing the caller's workspace for the search tree.
-func dijkstraRestricted(ws *Workspace, g *graph.Digraph, s, t graph.NodeID, w Weight,
-	bannedEdges graph.EdgeSet, bannedNodes map[graph.NodeID]bool) (graph.Path, bool) {
-	if bannedNodes[s] {
-		return graph.Path{}, false
+// dijkstra grows the cost shortest-path tree from s into tr, skipping
+// banned edges and every edge into a banned vertex; h and done are its
+// scratch. Out rows list edge IDs ascending and h pops the least
+// (distance, vertex ID), so ties resolve the same way on every run.
+func dijkstra(g *graph.Digraph, s graph.NodeID, h *pq.Heap, done []bool, tr Tree, bannedEdge, bannedNode []bool) {
+	for v := range tr.Dist {
+		tr.Dist[v] = Inf
+		tr.Parent[v] = -1
+		done[v] = false
 	}
-	sub := graph.New(g.NumNodes())
-	mapping := make([]graph.EdgeID, 0, g.NumEdges())
-	for _, e := range g.EdgesView() {
-		if bannedEdges.Has(e.ID) || bannedNodes[e.From] || bannedNodes[e.To] {
-			continue
+	tr.Dist[s] = 0
+	h.Reset()
+	h.Push(int(s), 0)
+	for h.Len() > 0 {
+		ui, du := h.Pop()
+		u := graph.NodeID(ui)
+		done[u] = true
+		for _, id := range g.Out(u) {
+			e := g.Edge(id)
+			if done[e.To] || bannedEdge[id] || bannedNode[e.To] {
+				continue
+			}
+			if e.Cost < 0 {
+				//lint:allow nopanic nonnegative-cost contract; a violation is a caller bug, not bad input
+				panic("shortest: negative cost in Yen's Dijkstra")
+			}
+			if nd := du + e.Cost; nd < tr.Dist[e.To] { //lint:allow weightovf du is a simple path cost over MaxWeight-capped edges, < 2^61
+				tr.Dist[e.To] = nd
+				tr.Parent[e.To] = id
+				h.Push(int(e.To), nd)
+			}
 		}
-		sub.AddEdge(e.From, e.To, e.Cost, e.Delay)
-		mapping = append(mapping, e.ID)
 	}
-	tr := DijkstraInto(ws, sub, s, w)
-	p, ok := tr.PathTo(sub, t)
-	if !ok {
-		return graph.Path{}, false
-	}
-	orig := make([]graph.EdgeID, len(p.Edges))
-	for i, id := range p.Edges {
-		orig[i] = mapping[id]
-	}
-	return graph.Path{Edges: orig}, true
 }
 
 func equalPrefix(a []graph.EdgeID, b []graph.EdgeID, n int) bool {

@@ -1,6 +1,9 @@
 package shortest
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -17,7 +20,7 @@ func TestKShortestPathsSimple(t *testing.T) {
 	g.AddEdge(0, 2, 2, 0) // e2
 	g.AddEdge(2, 3, 3, 0) // e3   route B: 5
 	g.AddEdge(0, 3, 8, 0) // e4   route C: 8
-	paths := KShortestPaths(g, 0, 3, 5, CostWeight)
+	paths := KShortestPaths(g, 0, 3, 5)
 	if len(paths) != 3 {
 		t.Fatalf("got %d paths", len(paths))
 	}
@@ -35,13 +38,13 @@ func TestKShortestPathsSimple(t *testing.T) {
 func TestKShortestPathsDegenerate(t *testing.T) {
 	g := graph.New(3)
 	g.AddEdge(0, 1, 1, 0)
-	if got := KShortestPaths(g, 0, 2, 3, CostWeight); got != nil {
+	if got := KShortestPaths(g, 0, 2, 3); got != nil {
 		t.Fatalf("unreachable sink returned %d paths", len(got))
 	}
-	if got := KShortestPaths(g, 0, 1, 0, CostWeight); got != nil {
+	if got := KShortestPaths(g, 0, 1, 0); got != nil {
 		t.Fatal("K=0 must return nil")
 	}
-	if got := KShortestPaths(g, 0, 1, 5, CostWeight); len(got) != 1 {
+	if got := KShortestPaths(g, 0, 1, 5); len(got) != 1 {
 		t.Fatalf("single-route graph returned %d paths", len(got))
 	}
 }
@@ -62,7 +65,7 @@ func TestKShortestPathsMatchesEnumeration(t *testing.T) {
 		}
 		s, tt := graph.NodeID(0), graph.NodeID(n-1)
 		K := 1 + r.Intn(6)
-		got := KShortestPaths(g, s, tt, K, CostWeight)
+		got := KShortestPaths(g, s, tt, K)
 		// Exhaustive baseline.
 		var all []graph.Path
 		var cur []graph.EdgeID
@@ -113,5 +116,38 @@ func TestKShortestPathsMatchesEnumeration(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestKShortestPathsDigest pins Yen's exact output, tie order included, on
+// 300 seeded multigraphs with costs 0–3 and parallel edges: the SHA-256 of
+// every returned path list must equal the digest recorded when each spur
+// search ran Dijkstra over a copy of the graph without its banned edges
+// and vertices. TestKShortestPathsMatchesEnumeration checks only the cost
+// sequence, so it cannot see a change in which of two tied paths comes
+// first.
+func TestKShortestPathsDigest(t *testing.T) {
+	const want = "7bbefd5450fa6d3e24fa3e45372615dd75ea65f27613708b6a4f2fb52274ce36"
+	r := rand.New(rand.NewSource(20240))
+	h := sha256.New()
+	for i := 0; i < 300; i++ {
+		n := 2 + r.Intn(7)
+		g := graph.New(n)
+		for j, m := 0, r.Intn(4*n); j < m; j++ {
+			u, v := graph.NodeID(r.Intn(n)), graph.NodeID(r.Intn(n))
+			if u == v {
+				continue
+			}
+			g.AddEdge(u, v, int64(r.Intn(4)), int64(r.Intn(4)))
+			if r.Intn(3) == 0 {
+				g.AddEdge(u, v, int64(r.Intn(4)), int64(r.Intn(4)))
+			}
+		}
+		s := graph.NodeID(r.Intn(n))
+		tt := graph.NodeID((int(s) + 1 + r.Intn(n-1)) % n)
+		fmt.Fprintf(h, "%d %v\n", i, KShortestPaths(g, s, tt, 1+r.Intn(8)))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("path lists hash to %s, want %s", got, want)
 	}
 }
