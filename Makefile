@@ -114,13 +114,14 @@ BENCH_BASELINE := $(if $(BENCH_LAST),BENCH_$(BENCH_LAST).json)
 # Zero-alloc contracts: core.Solve with Options.Metrics unset must not
 # allocate above the newest baseline, SolveCtx with a live Canceller must
 # match it, the fingerprint+cache miss path must add nothing on top, phase 1
-# and the full solve at N=5k must hold their alloc counts flat, and
-# decoding an N=5k instance must not return to per-line allocation.
+# and the full solve at N=5k must hold their alloc counts flat, one
+# bicameral Find must not allocate more, and decoding an N=5k instance must
+# not return to per-line allocation.
 # -baseline prints the full ns/B/allocs delta table and fails on any
 # allocs/op regression, on a B/op rise of more than 5%, or on a listed row
 # the baseline lacks.
 bench-guard:
-	$(GO) run ./cmd/krspbench -run SolveN60K3,SolveCtxN60K3,SolveN60K3CacheMiss,Phase1ClassicN5k,SolveLargeN5k,DecodeN5k -baseline $(BENCH_BASELINE)
+	$(GO) run ./cmd/krspbench -run SolveN60K3,SolveCtxN60K3,SolveN60K3CacheMiss,Phase1ClassicN5k,SolveLargeN5k,BicameralFind,DecodeN5k -baseline $(BENCH_BASELINE)
 
 # Flight-recorder round trip (DESIGN.md §13): generate an instance, solve
 # it with the recorder armed (krsp -flight), and render the dump with

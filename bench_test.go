@@ -243,27 +243,6 @@ func BenchmarkSolveIncremental(b *testing.B) {
 	}
 }
 
-// BenchmarkBicameralParallel runs the same search as BenchmarkBicameralFind
-// with the worker pool enabled; the ns/op ratio against the serial run is
-// the parallel speedup (results are bit-identical by construction).
-func BenchmarkBicameralParallel(b *testing.B) {
-	ins := benchInstance(b, 30, 2, 1.2)
-	f, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, ins.K, shortest.LinCost)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rg := residual.Build(ins.G, f.Edges)
-	dd := ins.Bound - f.Delay(ins.G)
-	if dd >= 0 {
-		b.Skip("min-cost flow already feasible on this seed")
-	}
-	p := bicameral.Params{DeltaD: dd, DeltaC: 10, CostCap: 1 << 20}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bicameral.Find(rg, p, bicameral.Options{Workers: 4})
-	}
-}
-
 // BenchmarkResidualUpdate measures one incremental Update against the full
 // Build it replaces, on a realistic solution-swap cycle set.
 func BenchmarkResidualUpdate(b *testing.B) {

@@ -41,6 +41,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"repro/internal/baseline"
 	"repro/internal/bicameral"
@@ -54,12 +55,22 @@ import (
 func main() {
 	degraded, err := run(os.Args[1:], os.Stdout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "krsp:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
 	if degraded {
 		os.Exit(2)
 	}
+}
+
+// errorLine is the line main prints for a failed run: the error behind one
+// "krsp: " prefix, which core's errors already carry.
+func errorLine(err error) string {
+	msg := err.Error()
+	if strings.HasPrefix(msg, "krsp: ") {
+		return msg
+	}
+	return "krsp: " + msg
 }
 
 // run executes one CLI invocation. The degraded return is true when a

@@ -150,6 +150,34 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestErrorLinePrefix: main prints every error behind exactly one "krsp: "
+// prefix, whether the error comes from core (whose messages already begin
+// "krsp: ") or from the instance parser (whose messages do not).
+func TestErrorLinePrefix(t *testing.T) {
+	path := writeInstanceFile(t)
+	bad := filepath.Join(t.TempDir(), "bad.krsp")
+	if err := os.WriteFile(bad, []byte("bogus\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-algo", "scaled", "-eps", "NaN", path}, "krsp: epsilons must be positive (got NaN, NaN)"},
+		{[]string{bad}, "krsp: parsing " + bad + `: line 1: expected header 'krsp v1', got "bogus"`},
+	}
+	for _, tc := range cases {
+		var out bytes.Buffer
+		_, err := run(tc.args, &out)
+		if err == nil {
+			t.Fatalf("args %v accepted", tc.args)
+		}
+		if got := errorLine(err); got != tc.want {
+			t.Errorf("args %v: printed %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}
+
 // TestRunGreedyHugeBound: `krsp -algo greedy` on a 4-node instance with
 // delay bound 2^40 fails with an error (exit 1) instead of asking the
 // runtime for the (bound+1)·n layered graph of its restricted shortest

@@ -456,16 +456,6 @@ func suite() []bench {
 				bicameral.Find(rg, p, bicameral.Options{})
 			}
 		}},
-		{"BicameralParallel", func(b *testing.B) {
-			rg, p, ok := bicameralInputs()
-			if !ok {
-				b.Skip("min-cost flow already feasible")
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				bicameral.Find(rg, p, bicameral.Options{Workers: 4})
-			}
-		}},
 		{"ResidualBuild", func(b *testing.B) {
 			ins := gen.ER(7, 100, 0.1, gen.DefaultWeights())
 			f1, err := flow.MinCostKFlow(ins.G, ins.S, ins.T, 2, shortest.LinCost)

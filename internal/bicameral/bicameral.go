@@ -132,32 +132,20 @@ func (e Engine) String() string {
 // Options tune the search.
 type Options struct {
 	Engine Engine
-	// InitialBudget is the first cost budget B tried (default 1).
-	InitialBudget int64
 	// FullSweep walks B = 1, 2, 3, … exactly as Algorithm 3 does instead
-	// of doubling (ablation E8; much slower).
+	// of doubling (ablation E8; much slower). Budgets start at B = 1 and
+	// end at Σ|c(e)| for the combinatorial engine (complete) and at
+	// CostCap for the LP engine.
 	FullSweep bool
-	// MaxBudget caps B; 0 means min(CostCap, Σ|c(e)|) for the combinatorial
-	// engine (complete) and CostCap for the LP engine.
-	MaxBudget int64
 	// Adversarial inverts candidate preference to the most expensive
 	// qualifying cycle. It exists solely for experiment E3 (the Figure 1
 	// pathology: what a worst-case-compliant selection could do); never
 	// enable it for real solving.
 	Adversarial bool
-	// Workers bounds the goroutines used by the combinatorial engine's
-	// anchor×budget sweep (the per-seed layered searches and the cycle
-	// enumerator). ≤ 1 runs serially; values above GOMAXPROCS are clamped.
-	// The parallel reduction replays the serial visit order (same better()
-	// tie-breaks, same step-budget accounting), so the returned Candidate
-	// and Stats.BudgetsTried are bit-identical for every worker count.
-	Workers int
 	// Metrics, when non-nil, receives search instrumentation: Find calls,
-	// searches, candidates, budget escalations, and SPFA kernel counts
-	// through the per-worker workspaces. Nil (the default) records nothing
-	// and costs nothing. Metrics never influence results, but counters fed
-	// by speculative parallel work may vary with Workers — the
-	// bit-identical promise covers the returned Candidate and Stats only.
+	// searches, candidates, budget escalations, and the counts of every
+	// SPFA kernel the search runs. Nil (the default) records nothing and
+	// costs nothing. Metrics never influence results.
 	Metrics *obs.Registry
 	// Recorder, when non-nil, receives one search-done flight-recorder
 	// event per Find (found flag, budgets tried, candidates inspected,
@@ -165,11 +153,12 @@ type Options struct {
 	// trips. Nil (the default) records nothing and costs nothing.
 	Recorder *rec.Recorder
 	// Cancel, when non-nil, is polled throughout the search; once stopped,
-	// Find returns found=false as fast as it can. A cancelled found=false is
-	// NOT a completeness certificate — callers must check Cancel.Stopped()
-	// before treating it as "no bicameral cycle exists" (core does). The
-	// bit-identical-results promise does not cover cancelled runs. Parallel
-	// workers derive their own cancel.Child from this Canceller.
+	// Find returns found=false as fast as it can. A search that a
+	// cancellation cut short always leaves Cancel stopped, and a cancelled
+	// found=false is NOT a completeness certificate — callers must check
+	// Cancel.Stopped() before treating it as "no bicameral cycle exists"
+	// (core does). A Find that returns with Cancel not stopped equals the
+	// uncancelled Find.
 	Cancel *cancel.Canceller
 	// Faults, when non-nil, is consulted at the deterministic injection
 	// sites (fault.PointCycleSearch on entry to Find, fault.PointLPRound per
@@ -250,7 +239,7 @@ func Find(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
 	case EngineMinRatio:
 		cand, st, found = findMinRatio(rg, p, o)
 	default:
-		cand, st, found = findCombinatorial(rg, p, o)
+		cand, st, found = findCombinatorial(rg, p, o, k)
 	}
 	if bm := o.Metrics.BicameralMetrics(); bm != nil {
 		bm.Finds.Inc()

@@ -13,10 +13,11 @@ import (
 // endpoint) and runs negative-cycle detection under the combined weight
 // W(e) = ΔC·d(e) − ΔD·c(e). Any W-negative cycle projects onto residual
 // cycles among which at least one has W < 0, i.e. is bicameral up to the
-// cost cap. Budgets escalate until min(MaxBudget, Σ|c|): at that point
-// every residual cycle is representable (prefix cost sums are bounded by
-// Σ|c|), so a combinatorially complete answer is reached.
-func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
+// cost cap. Budgets escalate until Σ|c|: at that point every residual
+// cycle is representable (prefix cost sums are bounded by Σ|c|), so a
+// combinatorially complete answer is reached. k is the lexicographic
+// factor (n+1)·max(|c|, |d|) + 1 that Find's overflow guard computed.
+func findCombinatorial(rg *residual.Graph, p Params, o Options, k int64) (Candidate, Stats, bool) {
 	var st Stats
 	seeds := rg.ReversedSeeds()
 	if len(seeds) == 0 {
@@ -36,44 +37,15 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 			sumAbs -= c
 		}
 	}
-	// Default ceiling is Σ|c|: prefix cost sums of ANY simple cycle fit in
+	// The ceiling is Σ|c|: prefix cost sums of ANY simple cycle fit in
 	// [−Σ|c|, Σ|c|], so escalating to sumAbs makes the search complete.
 	// Note the cap does NOT bound the ceiling — a cap-respecting cycle may
 	// have prefix sums far above its total cost.
-	maxB := o.MaxBudget
-	if maxB <= 0 {
-		maxB = sumAbs
-	}
-	if sumAbs >= 1 && maxB > sumAbs {
-		maxB = sumAbs
-	}
+	maxB := sumAbs
 	if maxB < 1 {
 		maxB = 1
 	}
-	b := o.InitialBudget
-	if b < 1 {
-		b = 1
-	}
-	if b > maxB {
-		b = maxB
-	}
-	// Detection weights. Definition 10's type-1/2 allow boundary cycles
-	// with W = 0 exactly (d·ΔC = ΔD·c), which pure W<0 detection misses.
-	// Lexicographic weights make them strictly negative: a cycle is
-	// negative under W·K + d iff W < 0, or W = 0 with negative delay
-	// (a boundary type-1); under W·K + c iff W < 0, or W = 0 with negative
-	// cost (a boundary type-2). K > n·max(|d|,|c|) prevents the secondary
-	// term from flipping the primary's sign over any simple cycle.
-	maxW := int64(1)
-	for i := 0; i < m; i++ {
-		if a := abs64(view.Delay(graph.EdgeID(i))); a > maxW {
-			maxW = a
-		}
-		if a := abs64(view.Cost(graph.EdgeID(i))); a > maxW {
-			maxW = a
-		}
-	}
-	k := int64(view.NumNodes()+1)*maxW + 1
+	b := int64(1)
 
 	var best Candidate
 	haveBest := false
@@ -106,6 +78,14 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 	// can never win — the edge is unreachable without rebuilding anything.
 	// The CSR kernel applies the same sentinel to !alive edges internally;
 	// Find's overflow guard keeps |du| < 2^61, so the sum cannot overflow.
+	//
+	// Detection weights. Definition 10's type-1/2 allow boundary cycles
+	// with W = 0 exactly (d·ΔC = ΔD·c), which pure W<0 detection misses.
+	// Lexicographic weights make them strictly negative: a cycle is
+	// negative under W·K + d iff W < 0, or W = 0 with negative delay
+	// (a boundary type-1); under W·K + c iff W < 0, or W = 0 with negative
+	// cost (a boundary type-2). K = k > n·max(|d|,|c|) prevents the secondary
+	// term from flipping the primary's sign over any simple cycle.
 	// The lexicographic weights in LinWeight form: W(e)·K + d and W(e)·K + c
 	// expanded over W(e) = ΔC·d − ΔD·c (two's-complement distributivity
 	// keeps them bitwise equal to the unexpanded forms at any magnitude).
@@ -115,9 +95,9 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 		{Q: -p.DeltaD*k + 1, P: p.DeltaC * k},
 	}
 	wi := 0
-	// One workspace serves every sequential search below: the detection
-	// rounds here and the shared layered sweeps (it grows to layered size on
-	// first use). The parallel per-seed sweep takes one workspace per worker.
+	// One workspace serves every search below: the detection rounds here,
+	// the shared layered sweeps and the per-seed sweeps (it grows to layered
+	// size on first use).
 	ws := shortest.NewWorkspace(view.NumNodes())
 	ws.SetMetrics(o.Metrics.ShortestMetrics())
 	ws.SetCancel(o.Cancel)
@@ -221,7 +201,7 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options) (Candidate, Stat
 			if int64(len(seeds))*(2*b+1)*nodes64 > maxStates {
 				perSeed = nil
 			}
-			if cand, found := sweepSeeds(rg, perSeed, b, weights[0], relaxBudget, p, o, &st); found {
+			if cand, found := sweepSeeds(ws, rg, perSeed, b, weights[0], relaxBudget, p, o, &st); found {
 				return cand, st, true
 			}
 		}

@@ -29,20 +29,8 @@ func findLP(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
 	if len(seeds) == 0 {
 		return Candidate{}, st, false
 	}
-	maxB := o.MaxBudget
-	if maxB <= 0 {
-		maxB = p.CostCap
-	}
-	if maxB < 1 {
-		maxB = 1
-	}
-	b := o.InitialBudget
-	if b < 1 {
-		b = 1
-	}
-	if b > maxB {
-		b = maxB
-	}
+	maxB := p.CostCap // ≥ 1: Find rejects smaller caps
+	b := int64(1)
 	var best Candidate
 	haveBest := false
 	for {

@@ -6,13 +6,12 @@
 // a context that can never be done (context.Background) yields nil, making
 // the plain Solve path provably overhead-free.
 //
-// Cancellers are pooled: New and Child draw from a sync.Pool and Release
-// returns to it, so a steady-state SolveCtx allocates nothing for
-// cancellation (the bench guard's SolveCtxN60K3 twin pins this).
+// Cancellers are pooled: New draws from a sync.Pool and Release returns to
+// it, so a steady-state SolveCtx allocates nothing for cancellation (the
+// bench guard's SolveCtxN60K3 twin pins this).
 //
-// A Canceller is single-goroutine state. Parallel workers take one Child
-// each (same done channel, fresh counter); sharing one Canceller across
-// goroutines is a data race.
+// A Canceller is single-goroutine state: one solve runs on one goroutine
+// and polls one Canceller; sharing one across goroutines is a data race.
 package cancel
 
 import (
@@ -33,8 +32,8 @@ var ErrCancelled = errors.New("cancel: cancelled")
 const DefaultPollStride = 1024
 
 // Canceller is the poll target threaded through the solve pipeline. The
-// zero value is unusable; obtain one from New or Child, and Release it when
-// the solve finishes. A nil *Canceller is valid everywhere and never
+// zero value is unusable; obtain one from New, and Release it when the
+// solve finishes. A nil *Canceller is valid everywhere and never
 // reports cancellation.
 type Canceller struct {
 	done    <-chan struct{}
@@ -69,25 +68,6 @@ func New(ctx context.Context, stride int) *Canceller {
 	c.n = 0
 	c.stopped = false
 	return c
-}
-
-// Child returns a Canceller sharing c's done channel and stride with fresh
-// counter state, for handing to a parallel worker (Cancellers are not
-// goroutine-safe). A child of nil is nil. Children are pooled too; Release
-// them when the worker finishes.
-func (c *Canceller) Child() *Canceller {
-	if c == nil {
-		return nil
-	}
-	ch := pool.Get().(*Canceller)
-	if ch == nil { // pool.New always yields a value; keep the invariant local
-		ch = new(Canceller)
-	}
-	ch.done = c.done
-	ch.stride = c.stride
-	ch.n = 0
-	ch.stopped = c.stopped
-	return ch
 }
 
 // Release returns c to the pool. Safe on nil. The caller must not use c

@@ -14,9 +14,6 @@ func TestNilIsFreeNoOp(t *testing.T) {
 	}
 	c.Trip() // must not panic
 	c.Release()
-	if c.Child() != nil {
-		t.Fatal("Child of nil must be nil")
-	}
 }
 
 func TestBackgroundYieldsNil(t *testing.T) {
@@ -76,41 +73,6 @@ func TestTrip(t *testing.T) {
 	c.Trip()
 	if !c.Poll() || !c.Stopped() {
 		t.Fatal("Trip did not latch stopped")
-	}
-}
-
-func TestChildSharesDoneNotCounter(t *testing.T) {
-	ctx, cancelFn := context.WithCancel(context.Background())
-	c := New(ctx, 2)
-	defer c.Release()
-	ch := c.Child()
-	defer ch.Release()
-	if ch.Stopped() {
-		t.Fatal("fresh child already stopped")
-	}
-	cancelFn()
-	if !ch.Check() {
-		t.Fatal("child does not see the parent's done channel")
-	}
-	// The parent's own latch is independent state.
-	if c.Stopped() {
-		t.Fatal("parent latched through the child")
-	}
-	if !c.Check() {
-		t.Fatal("parent cannot see its own done channel")
-	}
-}
-
-func TestChildOfTrippedParentStartsStopped(t *testing.T) {
-	ctx, cancelFn := context.WithCancel(context.Background())
-	defer cancelFn()
-	c := New(ctx, 0)
-	defer c.Release()
-	c.Trip()
-	ch := c.Child()
-	defer ch.Release()
-	if !ch.Stopped() {
-		t.Fatal("child of a tripped parent must start stopped")
 	}
 }
 

@@ -47,10 +47,12 @@ func TestChaosSoak(t *testing.T) {
 		if r.Float64() < 0.4 {
 			faults.Arm(fault.PointCancel, r.Float64()*0.6)
 		}
+		// This draw once chose a search worker count; keeping it keeps every
+		// later round's instance, faults and poll stride.
+		_ = r.Intn(4)
 		opt := core.Options{
 			Faults:    faults,
 			Metrics:   reg,
-			Workers:   1 + r.Intn(4),
 			PollEvery: 1 << uint(r.Intn(11)), // strides 1..1024
 		}
 		// The LP engine is exercised on the smallest instances only (it is

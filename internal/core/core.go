@@ -136,19 +136,13 @@ type Options struct {
 	// CollectTrace records one IterationRecord per cancellation in
 	// Stats.Trace (off by default: it allocates).
 	CollectTrace bool
-	// Workers bounds the goroutines of the bicameral search's anchor×budget
-	// sweep (see bicameral.Options.Workers). ≤ 1 runs serially; results are
-	// bit-identical for every value.
-	Workers int
 	// Metrics, when non-nil, receives solver telemetry: outcome counters
 	// recorded from Stats after each SolveCtx/SolveScaledCtx, per-phase
 	// duration spans, and the flow/bicameral/SPFA kernel counts of every layer
 	// underneath (DESIGN.md §9 catalogues the names). Nil (the default) is
 	// a no-op sink with zero cost on the solve path — `make bench-guard`
 	// enforces that SolveN60K3 allocates nothing extra with Metrics unset.
-	// Metrics never influence results, but counters fed by speculative
-	// parallel work may vary with Workers; the determinism promise covers
-	// Result and Stats only.
+	// Metrics never influence results.
 	Metrics *obs.Registry
 	// Recorder, when non-nil, is the flight recorder receiving the solve's
 	// structured event stream: phase transitions, λ-iterations with their

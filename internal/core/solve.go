@@ -179,7 +179,6 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 			Engine:      opt.Engine,
 			FullSweep:   opt.FullSweep,
 			Adversarial: opt.Figure1Ablation,
-			Workers:     opt.Workers,
 			Metrics:     m,
 			Recorder:    r,
 			Cancel:      c,

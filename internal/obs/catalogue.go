@@ -143,10 +143,6 @@ type BicameralMetrics struct {
 	BudgetEscalations *Counter
 	// NotFound counts Find calls that exhausted every engine.
 	NotFound *Counter
-	// SeedSweeps counts parallel seed sweeps launched.
-	SeedSweeps *Counter
-	// SweepWorkers records the worker count used per parallel sweep.
-	SweepWorkers *Histogram
 }
 
 // ShortestMetrics instruments the SPFA kernels feeding the bicameral
@@ -412,11 +408,6 @@ func (r *Registry) registerCatalogue() {
 		"Layered-search budget ladder steps tried.")
 	r.Bicameral.NotFound = r.Counter("krsp_bicameral_not_found_total",
 		"Find calls that exhausted every engine without a cycle.")
-	r.Bicameral.SeedSweeps = r.Counter("krsp_bicameral_parallel_sweeps_total",
-		"Parallel seed sweeps launched.")
-	r.Bicameral.SweepWorkers = r.Histogram("krsp_bicameral_sweep_workers",
-		"Worker count used per parallel sweep.",
-		[]int64{1, 2, 4, 8, 16, 32, 64})
 
 	// krspd sharded mode.
 	r.Cluster.CacheHits = r.Counter("krsp_cache_hits_total",

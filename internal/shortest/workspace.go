@@ -16,7 +16,8 @@ import (
 //
 // A Workspace may be reused freely across calls and across graphs of
 // different sizes (Grow reallocates only on expansion), but it is NOT safe
-// for concurrent use; parallel searches take one Workspace per worker.
+// for concurrent use: each bicameral Find builds its own, so solves that
+// run side by side share none.
 //
 // Trees returned by the *_Into kernels alias the workspace's dist/parent
 // arrays: they are valid until the next *_Into call on the same Workspace.
@@ -32,15 +33,16 @@ type Workspace struct {
 
 // SetMetrics attaches a metric sink to the workspace; every SPFA kernel
 // run through it then reports run/relaxation/negative-cycle counts. A nil
-// sink (the default) records nothing. Parallel sweeps may point many
-// workspaces at the same sink: recording is atomic.
+// sink (the default) records nothing. The workspaces of solves running side
+// by side may share one sink: recording is atomic.
 func (ws *Workspace) SetMetrics(m *obs.ShortestMetrics) { ws.metrics = m }
 
 // SetCancel attaches a Canceller: kernels run through the workspace then
 // poll it in their relaxation loops and bail out early once it stops. A nil
 // Canceller (the default) costs one branch per poll site and nothing more.
-// Cancellers are single-goroutine state — a workspace handed to a parallel
-// worker must carry that worker's own cancel.Child.
+// Like the workspace, a Canceller is single-goroutine state. The search
+// attaches its caller's Canceller, so a kernel poll that sees the deadline
+// latches it for the caller too.
 //
 // Cancellation semantics per kernel family: the bounded kernel
 // (SPFAAllBoundedCSRInto) reports its usual no-verdict; the verdict kernels
