@@ -103,9 +103,10 @@ bench-large:
 BENCH_NUMBERS := $(shell ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9][0-9]*\)\.json$$/\1/p' | sort -n)
 BENCH_LAST := $(lastword $(BENCH_NUMBERS))
 
-# Regenerate the hot-path benchmark snapshot. Reports are numbered; each run
-# writes the next free BENCH_<n>.json, and the highest-numbered one is the
-# baseline the guard compares against.
+# Snapshot every go test benchmark of the root package and cmd/krspd (the
+# large tier included). Reports are numbered; each run writes the next free
+# BENCH_<n>.json, and the highest-numbered one is the baseline the guard
+# compares against.
 bench:
 	$(GO) run ./cmd/krspbench -out BENCH_$$(( $(or $(BENCH_LAST),0) + 1 )).json
 
@@ -115,13 +116,15 @@ BENCH_BASELINE := $(if $(BENCH_LAST),BENCH_$(BENCH_LAST).json)
 # allocate above the newest baseline, SolveCtx with a live Canceller must
 # match it, the fingerprint+cache miss path must add nothing on top, phase 1
 # and the full solve at N=5k must hold their alloc counts flat, one
-# bicameral Find must not allocate more, and decoding an N=5k instance must
-# not return to per-line allocation.
+# bicameral Find must not allocate more, decoding an N=5k instance must
+# not return to per-line allocation, and a krspd /solve cache hit at N=5k
+# must not allocate more. (The cache-off miss, SolveHTTPN5k/miss, varies by
+# a few allocs/op between runs, so it is recorded but not guarded.)
 # -baseline prints the full ns/B/allocs delta table and fails on any
-# allocs/op regression, on a B/op rise of more than 5%, or on a listed row
-# the baseline lacks.
+# allocs/op regression, on a B/op rise of more than 5%, on a listed row
+# the baseline lacks, or on a listed name that matches no benchmark.
 bench-guard:
-	$(GO) run ./cmd/krspbench -run SolveN60K3,SolveCtxN60K3,SolveN60K3CacheMiss,Phase1ClassicN5k,SolveLargeN5k,BicameralFind,DecodeN5k -baseline $(BENCH_BASELINE)
+	$(GO) run ./cmd/krspbench -run SolveN60K3,SolveCtxN60K3,SolveN60K3CacheMiss,Phase1ClassicN5k,SolveLargeN5k,BicameralFind,DecodeN5k,SolveHTTPN5k/hit -baseline $(BENCH_BASELINE)
 
 # Flight-recorder round trip (DESIGN.md §13): generate an instance, solve
 # it with the recorder armed (krsp -flight), and render the dump with

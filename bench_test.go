@@ -1,8 +1,11 @@
-// Repository-level benchmarks: one per experiment (E1–E10, regenerating the
+// Repository-level benchmarks: one per experiment (E1–E13, regenerating the
 // EXPERIMENTS.md tables in quick mode) plus micro-benchmarks of the kernels
 // the algorithms are built from. Run with:
 //
 //	go test -bench=. -benchmem
+//
+// make bench runs these, bench_large_test.go's and cmd/krspd's benchmarks
+// through cmd/krspbench and snapshots them into the next BENCH_<n>.json.
 package repro_test
 
 import (
@@ -88,6 +91,21 @@ func BenchmarkSolveN60K3(b *testing.B) {
 	}
 }
 
+// BenchmarkSolveCtxN60K3 is the cancellable-context twin of SolveN60K3: a
+// live Canceller is threaded through every kernel, so allocs/op must equal
+// SolveN60K3's (the deadline machinery allocates nothing on the hot path).
+func BenchmarkSolveCtxN60K3(b *testing.B) {
+	ins := benchInstance(b, 60, 3, 1.3)
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.SolveCtx(ctx, ins, core.Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSolveN60K3CacheMiss is the cache-layer twin of SolveN60K3: every
 // iteration runs the full krspd miss path — fingerprint, cache lookup,
 // solve, insert — then evicts, so the next iteration misses again and the
@@ -118,7 +136,7 @@ func BenchmarkSolveN60K3CacheMiss(b *testing.B) {
 // path is zero-alloc by contract).
 func BenchmarkSolveN60K3Metrics(b *testing.B) {
 	ins := benchInstance(b, 60, 3, 1.3)
-	reg := obs.New(&obs.ManualClock{})
+	reg := obs.New(obs.RealClock{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Solve(ins, core.Options{Metrics: reg}); err != nil {
@@ -134,7 +152,7 @@ func BenchmarkSolveN60K3Metrics(b *testing.B) {
 // zero-alloc by //krsp:noalloc contract either way.
 func BenchmarkSolveN60K3Recorder(b *testing.B) {
 	ins := benchInstance(b, 60, 3, 1.3)
-	r := rec.New(new(obs.ManualClock), rec.DefaultCapacity)
+	r := rec.New(obs.RealClock{}, rec.DefaultCapacity)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.Solve(ins, core.Options{Recorder: r}); err != nil {
@@ -209,7 +227,7 @@ func BenchmarkBicameralFind(b *testing.B) {
 	}
 }
 
-func BenchmarkSPFAAllCSRN2000(b *testing.B) {
+func BenchmarkSPFAAllCSR(b *testing.B) {
 	c := graph.NewCSR(gen.ER(3, 200, 0.08, gen.DefaultWeights()).G)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -218,7 +236,7 @@ func BenchmarkSPFAAllCSRN2000(b *testing.B) {
 }
 
 // BenchmarkSPFAAllCSRInto is the workspace-reusing counterpart of
-// BenchmarkSPFAAllCSRN2000: the delta between the two is precisely the
+// BenchmarkSPFAAllCSR: the delta between the two is precisely the
 // per-search allocation cost the Workspace removes.
 func BenchmarkSPFAAllCSRInto(b *testing.B) {
 	c := graph.NewCSR(gen.ER(3, 200, 0.08, gen.DefaultWeights()).G)

@@ -240,9 +240,10 @@ func (hashes) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestSolveDeclaredBodyTooLarge: a body whose Content-Length exceeds
-// -max-body gets its 413 before anything is allocated for it; a body of
-// unknown length still gets the same 413 from MaxBytesReader.
+// TestSolveDeclaredBodyTooLarge: on both instance endpoints, a body whose
+// Content-Length exceeds -max-body gets its 413 before anything is
+// allocated for it; a body of unknown length still gets the same 413 from
+// MaxBytesReader.
 func TestSolveDeclaredBodyTooLarge(t *testing.T) {
 	const limit, size = 8 << 20, 9 << 20
 	s, err := newServer(obs.New(&obs.ManualClock{}), discardLogger(), config{maxBody: limit})
@@ -251,20 +252,22 @@ func TestSolveDeclaredBodyTooLarge(t *testing.T) {
 	}
 	h := s.handler()
 	wantMsg := fmt.Sprintf("body exceeds %d bytes\n", limit)
-	for _, declared := range []int64{size, -1} {
-		req := httptest.NewRequest(http.MethodPost, "/solve", io.LimitReader(hashes{}, size))
-		req.ContentLength = declared
-		rr := httptest.NewRecorder()
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		h.ServeHTTP(rr, req)
-		runtime.ReadMemStats(&after)
-		if rr.Code != http.StatusRequestEntityTooLarge || rr.Body.String() != wantMsg {
-			t.Fatalf("Content-Length %d: status %d %q, want 413 %q", declared, rr.Code, rr.Body.String(), wantMsg)
-		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; declared > 0 && alloc >= 64<<10 {
-			t.Fatalf("declared %d-byte body allocated %d bytes before its 413, want < 64 KiB", declared, alloc)
+	for _, path := range []string{"/solve", "/feasible"} {
+		for _, declared := range []int64{size, -1} {
+			req := httptest.NewRequest(http.MethodPost, path, io.LimitReader(hashes{}, size))
+			req.ContentLength = declared
+			rr := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			h.ServeHTTP(rr, req)
+			runtime.ReadMemStats(&after)
+			if rr.Code != http.StatusRequestEntityTooLarge || rr.Body.String() != wantMsg {
+				t.Fatalf("%s, Content-Length %d: status %d %q, want 413 %q", path, declared, rr.Code, rr.Body.String(), wantMsg)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; declared > 0 && alloc >= 64<<10 {
+				t.Fatalf("%s: declared %d-byte body allocated %d bytes before its 413, want < 64 KiB", path, declared, alloc)
+			}
 		}
 	}
 }
@@ -491,34 +494,40 @@ func TestSolveDeadlineDegrades(t *testing.T) {
 		maxDeadline: 50 * time.Millisecond,
 		faults:      faults,
 	})
-	req, err := http.NewRequest(http.MethodPost, srv.URL+"/solve", instanceBody(t, 10, 2))
-	if err != nil {
-		t.Fatal(err)
+	// Both headers are way past the cap; the second is past what a
+	// Duration holds in milliseconds, too.
+	headers := []string{"100000", "10000000000000"}
+	for _, h := range headers {
+		req, err := http.NewRequest(http.MethodPost, srv.URL+"/solve", instanceBody(t, 10, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(deadlineMsHeader, h)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out solveResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("header %s: status %d, want 200 (anytime answers are not errors)", h, resp.StatusCode)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !out.Degraded || !out.Stats.Degraded {
+			t.Fatalf("header %s: expected a degraded answer, got %+v", h, out)
+		}
+		if out.DeadlineMs != 50 {
+			t.Fatalf("header %s: deadlineMs = %d, want the 50ms cap", h, out.DeadlineMs)
+		}
+		if out.Delay > out.Bound || out.Violated {
+			t.Fatalf("header %s: degraded answer violates the delay bound: %+v", h, out)
+		}
 	}
-	req.Header.Set(deadlineMsHeader, "100000") // way past the cap
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200 (anytime answers are not errors)", resp.StatusCode)
-	}
-	var out solveResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !out.Degraded || !out.Stats.Degraded {
-		t.Fatalf("expected a degraded answer, got %+v", out)
-	}
-	if out.DeadlineMs != 50 {
-		t.Fatalf("deadlineMs = %d, want the 50ms cap", out.DeadlineMs)
-	}
-	if out.Delay > out.Bound || out.Violated {
-		t.Fatalf("degraded answer violates the delay bound: %+v", out)
-	}
-	if got := metricValue(t, scrape(t, srv), "krsp_solve_degraded_total"); got != 1 {
-		t.Fatalf("krsp_solve_degraded_total = %d, want 1", got)
+	if got := metricValue(t, scrape(t, srv), "krsp_solve_degraded_total"); got != int64(len(headers)) {
+		t.Fatalf("krsp_solve_degraded_total = %d, want %d", got, len(headers))
 	}
 }
 

@@ -199,7 +199,12 @@ func (s *server) solveDeadline(r *http.Request) (time.Duration, error) {
 		if err != nil || ms <= 0 {
 			return 0, fmt.Errorf("bad %s: want a positive integer, got %q", deadlineMsHeader, h)
 		}
-		d = time.Duration(ms) * time.Millisecond
+		// A header past what a Duration holds saturates instead of
+		// wrapping negative, so the cap below applies to it as to any.
+		d = time.Duration(math.MaxInt64)
+		if ms < int64(math.MaxInt64/time.Millisecond) {
+			d = time.Duration(ms) * time.Millisecond
+		}
 	}
 	if s.cfg.maxDeadline > 0 && (d == 0 || d > s.cfg.maxDeadline) {
 		d = s.cfg.maxDeadline
@@ -641,8 +646,13 @@ func (s *server) handleFeasible(w http.ResponseWriter, r *http.Request) {
 	s.sm.RecordAccepted(true)
 	s.sm.AddInflight(1)
 	defer s.sm.AddInflight(-1)
-	ins, ok := s.readInstance(w, r, fail)
+	raw, ok := s.readBody(w, r, fail)
 	if !ok {
+		return
+	}
+	ins, err := graph.ReadInstance(bytes.NewReader(raw))
+	if err != nil {
+		fail("bad instance: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	feas, err := core.CheckFeasible(ins)
@@ -669,23 +679,6 @@ func (s *server) handleTraceLast(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Krsp-Trace-Id", traceID)
 	w.Write(dump)
-}
-
-// readInstance parses a size-capped request body, mapping an over-limit
-// read to 413 and any other parse failure to 400 through fail.
-func (s *server) readInstance(w http.ResponseWriter, r *http.Request, fail func(string, int)) (graph.Instance, bool) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.maxBody)
-	ins, err := graph.ReadInstance(body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			fail(fmt.Sprintf("body exceeds %d bytes", tooBig.Limit), http.StatusRequestEntityTooLarge)
-		} else {
-			fail("bad instance: "+err.Error(), http.StatusBadRequest)
-		}
-		return graph.Instance{}, false
-	}
-	return ins, true
 }
 
 // handleMetrics serves the Prometheus text exposition.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"math/rand"
 	"sync"
 )
@@ -69,10 +70,10 @@ type Budget struct {
 	set      bool
 }
 
-// NewBudget builds a budget expiring at now+totalNs; totalNs ≤ 0 yields the
-// unlimited budget.
+// NewBudget builds a budget expiring at now+totalNs; totalNs ≤ 0, or a
+// deadline past the largest int64, yields the unlimited budget.
 func NewBudget(now, totalNs int64) Budget {
-	if totalNs <= 0 {
+	if totalNs <= 0 || totalNs > math.MaxInt64-now {
 		return Budget{}
 	}
 	return Budget{deadline: now + totalNs, set: true}

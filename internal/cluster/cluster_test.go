@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 )
 
@@ -216,5 +217,10 @@ func TestBudget(t *testing.T) {
 	}
 	if bu.Allows(1200, 250, 100) {
 		t.Fatal("250ns sleep + 100ns reserve must not fit in 300ns")
+	}
+	// A deadline past the end of the clock is no deadline, not one that
+	// wrapped into the past.
+	if far := NewBudget(1000, math.MaxInt64); far.Remaining(1<<40) != 1<<62 {
+		t.Fatalf("remaining = %d, want the unlimited sentinel", far.Remaining(1<<40))
 	}
 }

@@ -160,8 +160,7 @@ func (rg *Graph) ApplyAll(cycles []graph.Cycle) (graph.EdgeSet, error) {
 // by Proposition 8 the result is exactly a set of edge-disjoint cycles of
 // the residual graph built against `cur`. Returned cycles live in the view
 // (i.e. edges of other \ cur appear forward, edges of cur \ other appear
-// reversed). Used by tests of Lemma 9 and by krspbench's residual-update
-// benchmark.
+// reversed). Used by tests of Lemma 9 and by BenchmarkResidualUpdate.
 func (rg *Graph) SolutionCycles(other graph.EdgeSet) ([]graph.Cycle, error) {
 	// Residual edge for original e: same ID by construction.
 	v := rg.view
