@@ -127,18 +127,28 @@ bench-guard:
 	$(GO) run ./cmd/krspbench -run SolveN60K3,SolveCtxN60K3,SolveN60K3CacheMiss,Phase1ClassicN5k,SolveLargeN5k,BicameralFind,DecodeN5k,SolveHTTPN5k/hit -baseline $(BENCH_BASELINE)
 
 # Flight-recorder round trip (DESIGN.md §13): generate an instance, solve
-# it with the recorder armed (krsp -flight), and render the dump with
+# it with the recorder armed (krsp -trace), and render the dump with
 # krsptrace as both the human report and the Chrome trace_event export.
-# Fails when any stage cannot parse the previous one's output.
+# Then trace a scaled solve on an instance whose rounding granularity is
+# well above 1, and require the report's result: line to show the cost and
+# delay krsp printed, in original weights. Fails when any stage cannot
+# parse the previous one's output.
 trace-smoke:
 	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/krspgen -n 40 -k 3 -slack 1.15 > $$tmp/ins.krsp && \
-	$(GO) run ./cmd/krsp -quiet -flight $$tmp/flight.jsonl $$tmp/ins.krsp > /dev/null && \
+	$(GO) run ./cmd/krsp -quiet -trace $$tmp/flight.jsonl $$tmp/ins.krsp > /dev/null && \
 	$(GO) run ./cmd/krsptrace $$tmp/flight.jsonl > $$tmp/report.txt && \
 	$(GO) run ./cmd/krsptrace -chrome $$tmp/chrome.json $$tmp/flight.jsonl && \
 	grep -q "phase timeline" $$tmp/report.txt && \
 	grep -q "duality-gap convergence" $$tmp/report.txt && \
-	echo "trace-smoke: solve -> dump -> krsptrace round trip ok ($$(wc -l < $$tmp/flight.jsonl | tr -d ' ') trace lines)"; \
+	$(GO) run ./cmd/krspgen -topo er -n 40 -seed 7 -slack 1.1 -k 2 -maxcost 5000 -maxdelay 5000 > $$tmp/big.krsp && \
+	$(GO) run ./cmd/krsp -quiet -algo scaled -eps 0.5 -trace $$tmp/scaled.jsonl $$tmp/big.krsp > $$tmp/scaled.txt && \
+	$(GO) run ./cmd/krsptrace $$tmp/scaled.jsonl > $$tmp/scaled-report.txt && \
+	printed=$$(grep -o 'cost=[0-9]* delay=[0-9]*' $$tmp/scaled.txt) && \
+	traced=$$(sed -n 's/^result: \(cost=[0-9]* delay=[0-9]*\).*/\1/p' $$tmp/scaled-report.txt) && \
+	{ [ -n "$$printed" ] && [ "$$printed" = "$$traced" ] || \
+	  { echo "trace-smoke: scaled trace reports '$$traced', krsp printed '$$printed'"; false; }; } && \
+	echo "trace-smoke: solve -> dump -> krsptrace round trip ok ($$(wc -l < $$tmp/flight.jsonl | tr -d ' ') trace lines; scaled $$traced)"; \
 	status=$$?; rm -rf $$tmp; exit $$status
 
 # 3-node cluster failover smoke (DESIGN.md §14): boot three krspd nodes on

@@ -15,14 +15,13 @@
 //	-dot      write a Graphviz rendering with the solution highlighted
 //	-quiet    print only the summary line
 //	-stats    print the full solve statistics on one stats: line
-//	-trace    write one JSON object per cancellation (core.IterationRecord)
-//	          to this file, one per line (JSONL), closed by a summary line
-//	          {"summary":true,"schema":...,"trace":...,"degraded":...};
-//	          implies trace collection
-//	-flight   run the solve with a flight recorder attached and write the
-//	          event dump as JSONL to this file (render with krsptrace)
-//	-trace-id use this 32-hex W3C trace ID for -trace/-flight output
-//	          instead of minting one (correlate with krspd dumps)
+//	-trace    run the solve with a flight recorder attached and write its
+//	          event dump as JSONL to this file (render with krsptrace): a
+//	          header line with the schema and trace ID, then every event,
+//	          from solve-start to the solve-end that carries the answer's
+//	          cost, delay, iterations and outcome flags
+//	-trace-id use this 32-hex W3C trace ID for -trace output instead of
+//	          minting one (correlate with krspd dumps)
 //	-timeout  deadline for -algo solve/scaled/phase1; past it the best
 //	          feasible intermediate is printed and krsp exits 2
 //
@@ -36,7 +35,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -85,9 +83,8 @@ func run(args []string, out io.Writer) (bool, error) {
 	format := fs.String("format", "krsp", "instance format: krsp|dimacs")
 	quiet := fs.Bool("quiet", false, "print only the summary line")
 	statsFlag := fs.Bool("stats", false, "print full solve statistics")
-	tracePath := fs.String("trace", "", "write the cancellation trace as JSONL to this file")
-	flightPath := fs.String("flight", "", "write the flight-recorder event dump as JSONL to this file")
-	traceID := fs.String("trace-id", "", "32-hex W3C trace ID for -trace/-flight output (minted if empty)")
+	tracePath := fs.String("trace", "", "write the flight-recorder event dump as JSONL to this file")
+	traceID := fs.String("trace-id", "", "32-hex W3C trace ID for -trace output (minted if empty)")
 	timeout := fs.Duration("timeout", 0,
 		"deadline for -algo solve/scaled/phase1; best feasible intermediate past it"+
 			" (0 = none, negative = already expired)")
@@ -131,12 +128,10 @@ func run(args []string, out io.Writer) (bool, error) {
 	if *traceID == "" {
 		*traceID = mintTraceID()
 	}
-	opts := core.Options{CollectTrace: *tracePath != ""}
-	var flight *rec.Recorder
-	if *flightPath != "" {
+	var opts core.Options
+	if *tracePath != "" {
 		// The CLI is a cmd/ edge like krspd: the real clock may enter here.
-		flight = rec.New(obs.RealClock{}, rec.DefaultCapacity)
-		opts.Recorder = flight
+		opts.Recorder = rec.New(obs.RealClock{}, traceCapacity)
 	}
 	switch *engine {
 	case "comb":
@@ -212,8 +207,8 @@ func run(args []string, out io.Writer) (bool, error) {
 		return false, fmt.Errorf("unknown algorithm %q", *algo)
 	}
 
-	if (*statsFlag || *tracePath != "" || *flightPath != "") && solveStats == nil {
-		return false, fmt.Errorf("-stats, -trace, and -flight require -algo solve, scaled, or phase1")
+	if (*statsFlag || *tracePath != "") && solveStats == nil {
+		return false, fmt.Errorf("-stats and -trace require -algo solve, scaled, or phase1")
 	}
 
 	fmt.Fprintf(out, "%s: k=%d cost=%d delay=%d bound=%d", label, ins.K, cost, dly, ins.Bound)
@@ -243,35 +238,15 @@ func run(args []string, out io.Writer) (bool, error) {
 			s.CRefEscalations, s.BudgetsTried, s.RelaxedCap, s.FellBackToPhase1)
 	}
 	if *tracePath != "" {
+		if n := opts.Recorder.Dropped(); n > 0 {
+			fmt.Fprintf(os.Stderr, "krsp: warning: -trace ring wrapped; the dump lacks the first %d of %d events\n",
+				n, opts.Recorder.Total())
+		}
 		f, err := os.Create(*tracePath)
 		if err != nil {
 			return degraded, err
 		}
-		enc := json.NewEncoder(f) // one record per line: JSONL
-		for _, rec := range solveStats.Trace {
-			if err := enc.Encode(rec); err != nil {
-				f.Close()
-				return degraded, err
-			}
-		}
-		// Trailer line: whole-solve outcome, distinguished by "summary".
-		if err := enc.Encode(traceSummary{
-			Summary: true, Schema: rec.Schema, Trace: *traceID, Degraded: degraded,
-			Cost: cost, Delay: dly, Iterations: solveStats.Iterations,
-		}); err != nil {
-			f.Close()
-			return degraded, err
-		}
-		if err := f.Close(); err != nil {
-			return degraded, err
-		}
-	}
-	if *flightPath != "" {
-		f, err := os.Create(*flightPath)
-		if err != nil {
-			return degraded, err
-		}
-		if err := flight.WriteJSONL(f, *traceID); err != nil {
+		if err := opts.Recorder.WriteJSONL(f, *traceID); err != nil {
 			f.Close()
 			return degraded, err
 		}
@@ -292,19 +267,11 @@ func run(args []string, out io.Writer) (bool, error) {
 	return degraded, nil
 }
 
-// traceSummary is the final -trace JSONL line: the whole-solve outcome
-// following the per-iteration records. Schema versions the line layout
-// (shared with the flight-recorder dump format, rec.Schema); Trace carries
-// the W3C trace ID so CLI traces correlate with krspd/krsptrace dumps.
-type traceSummary struct {
-	Summary    bool   `json:"summary"`
-	Schema     int    `json:"schema"`
-	Trace      string `json:"trace,omitempty"`
-	Degraded   bool   `json:"degraded"`
-	Cost       int64  `json:"cost"`
-	Delay      int64  `json:"delay"`
-	Iterations int    `json:"iterations"`
-}
+// traceCapacity is the -trace ring size in events. The dump is the CLI's
+// only trace, so it is sized for whole solves: krspperf traces its solves
+// with the same capacity. A solve that records more keeps its newest
+// events, and run warns on stderr.
+const traceCapacity = 1 << 16
 
 // validTraceID accepts a W3C trace ID: 32 lowercase hex digits, not all
 // zero.

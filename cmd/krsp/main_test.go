@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -11,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs/rec"
 	"repro/internal/rsp"
@@ -207,6 +205,38 @@ func TestRunGreedyHugeBound(t *testing.T) {
 	}
 }
 
+// cancellations reads the count on a -stats line.
+func cancellations(t *testing.T, out string) int {
+	t.Helper()
+	i := strings.Index(out, "cancellations=")
+	if i < 0 {
+		t.Fatalf("no stats line:\n%s", out)
+	}
+	var n int
+	if _, err := fmt.Sscanf(out[i:], "cancellations=%d", &n); err != nil {
+		t.Fatalf("stats line unparsable: %v\n%s", err, out)
+	}
+	return n
+}
+
+// readTrace parses a -trace dump.
+func readTrace(t *testing.T, path string) (rec.Header, []rec.Event) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	hdr, evs, err := rec.ReadJSONL(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(evs) == 0 {
+		t.Fatal("empty trace")
+	}
+	return hdr, evs
+}
+
 func TestRunStatsAndTrace(t *testing.T) {
 	path := writeInstanceFile(t)
 	tfile := filepath.Join(t.TempDir(), "trace.jsonl")
@@ -214,44 +244,35 @@ func TestRunStatsAndTrace(t *testing.T) {
 	if _, err := run([]string{"-stats", "-trace", tfile, path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	s := out.String()
-	i := strings.Index(s, "cancellations=")
-	if i < 0 {
-		t.Fatalf("no stats line:\n%s", s)
+	cancels := cancellations(t, out.String())
+	if cancels == 0 {
+		t.Fatal("the test instance no longer needs a cancellation")
 	}
-	var cancels int
-	if _, err := fmt.Sscanf(s[i:], "cancellations=%d", &cancels); err != nil {
-		t.Fatalf("stats line unparsable: %v\n%s", err, s)
-	}
-	data, err := os.ReadFile(tfile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lines []string
-	if trimmed := strings.TrimSpace(string(data)); trimmed != "" {
-		lines = strings.Split(trimmed, "\n")
-	}
-	// One record per cancellation plus the summary trailer.
-	if len(lines) != cancels+1 {
-		t.Fatalf("trace has %d lines, stats reported %d cancellations (+1 summary)\n%s",
-			len(lines), cancels, data)
-	}
-	for _, line := range lines[:cancels] {
-		var rec core.IterationRecord
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			t.Fatalf("trace line %q: %v", line, err)
-		}
-		if rec.CRef <= 0 {
-			t.Fatalf("trace record missing cref: %q", line)
+	_, evs := readTrace(t, tfile)
+	// One cancel-step per cancellation, after the one cancel-start that
+	// carries the loop's starting C_ref.
+	steps, starts := 0, 0
+	for _, ev := range evs {
+		switch ev.Kind {
+		case rec.KindCancelStep:
+			if starts != 1 {
+				t.Fatal("cancel-step before cancel-start")
+			}
+			steps++
+		case rec.KindCancelStart:
+			starts++
+			if ev.Args[2] <= 0 {
+				t.Fatalf("cancel-start without a C_ref: %v", ev.Args)
+			}
 		}
 	}
-	var sum traceSummary
-	if err := json.Unmarshal([]byte(lines[cancels]), &sum); err != nil {
-		t.Fatalf("trace summary %q: %v", lines[cancels], err)
+	if steps != cancels || starts != 1 {
+		t.Fatalf("trace has %d cancel-step and %d cancel-start events, stats reported %d cancellations",
+			steps, starts, cancels)
 	}
-	if !sum.Summary || sum.Degraded || sum.Iterations != cancels {
-		t.Fatalf("trace summary = %+v, want summary=true degraded=false iterations=%d",
-			sum, cancels)
+	last := evs[len(evs)-1]
+	if last.Kind != rec.KindSolveEnd || last.Args[2] != int64(cancels) || last.Args[3]&rec.FlagDegraded != 0 {
+		t.Fatalf("last event = %s %v, want solve-end with %d iterations, not degraded", last.Kind, last.Args, cancels)
 	}
 	// -stats/-trace are meaningless for algorithms without core.Stats.
 	if _, err := run([]string{"-algo", "exact", "-stats", path}, &out); err == nil {
@@ -261,7 +282,7 @@ func TestRunStatsAndTrace(t *testing.T) {
 
 // TestRunTimeoutDegrades: an expired -timeout must still print a feasible
 // answer, flag it, return degraded=true (exit code 2 in main), and close
-// the trace with a degraded summary line.
+// the trace with a degraded solve-end.
 func TestRunTimeoutDegrades(t *testing.T) {
 	path := writeInstanceFile(t)
 	tfile := filepath.Join(t.TempDir(), "trace.jsonl")
@@ -280,17 +301,10 @@ func TestRunTimeoutDegrades(t *testing.T) {
 	if strings.Contains(s, "BOUND VIOLATED") {
 		t.Fatalf("degraded answer violates the bound:\n%s", s)
 	}
-	data, err := os.ReadFile(tfile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	var sum traceSummary
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil {
-		t.Fatalf("trace summary: %v", err)
-	}
-	if !sum.Summary || !sum.Degraded {
-		t.Fatalf("trace summary = %+v, want summary=true degraded=true", sum)
+	_, evs := readTrace(t, tfile)
+	last := evs[len(evs)-1]
+	if last.Kind != rec.KindSolveEnd || last.Args[3]&rec.FlagDegraded == 0 {
+		t.Fatalf("last event = %s flags=%d, want solve-end with the degraded flag", last.Kind, last.Args[3])
 	}
 	// A generous timeout must not degrade anything.
 	out.Reset()
@@ -316,29 +330,21 @@ func TestRunInfeasibleInstance(t *testing.T) {
 	}
 }
 
-// TestRunFlightDump: -flight writes a parseable flight-recorder dump whose
+// TestRunFlightDump: -trace writes a parseable flight-recorder dump whose
 // stream brackets the solve, and -trace-id pins the header's trace ID.
 func TestRunFlightDump(t *testing.T) {
 	path := writeInstanceFile(t)
 	dump := filepath.Join(t.TempDir(), "flight.jsonl")
 	const id = "4bf92f3577b34da6a3ce929d0e0e4736"
 	var out bytes.Buffer
-	if _, err := run([]string{"-quiet", "-flight", dump, "-trace-id", id, path}, &out); err != nil {
+	if _, err := run([]string{"-quiet", "-trace", dump, "-trace-id", id, path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(dump)
-	if err != nil {
-		t.Fatal(err)
+	hdr, evs := readTrace(t, dump)
+	if hdr.Trace != id || hdr.Schema != rec.Schema || hdr.Dropped != 0 {
+		t.Fatalf("flight header = %+v, want trace %s schema %d, nothing dropped", hdr, id, rec.Schema)
 	}
-	defer f.Close()
-	hdr, evs, err := rec.ReadJSONL(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Trace != id || hdr.Schema != rec.Schema {
-		t.Fatalf("flight header = %+v, want trace %s schema %d", hdr, id, rec.Schema)
-	}
-	if len(evs) == 0 || evs[0].Kind != rec.KindSolveStart || evs[len(evs)-1].Kind != rec.KindSolveEnd {
+	if evs[0].Kind != rec.KindSolveStart || evs[len(evs)-1].Kind != rec.KindSolveEnd {
 		t.Fatalf("flight stream malformed: %d events", len(evs))
 	}
 }
@@ -349,34 +355,49 @@ func TestRunFlightFlagValidation(t *testing.T) {
 	path := writeInstanceFile(t)
 	dump := filepath.Join(t.TempDir(), "flight.jsonl")
 	var out bytes.Buffer
-	if _, err := run([]string{"-flight", dump, "-trace-id", "XYZ", path}, &out); err == nil {
+	if _, err := run([]string{"-trace", dump, "-trace-id", "XYZ", path}, &out); err == nil {
 		t.Fatal("bad -trace-id accepted")
 	}
-	if _, err := run([]string{"-algo", "minsum", "-flight", dump, path}, &out); err == nil {
-		t.Fatal("-flight with a baseline algo accepted")
+	if _, err := run([]string{"-algo", "minsum", "-trace", dump, path}, &out); err == nil {
+		t.Fatal("-trace with a baseline algo accepted")
+	}
+	if _, err := run([]string{"-flight", dump, path}, &out); err == nil {
+		t.Fatal("the removed -flight flag was accepted")
 	}
 }
 
-// TestTraceSummarySchema: the -trace trailer line carries the schema
-// version and the trace ID.
+// TestTraceSummarySchema: the whole-solve summary is in the dump itself,
+// with no trailer line: the header carries the schema version and the
+// trace ID, and the closing solve-end carries the printed cost and delay,
+// the iteration count and the degraded bit.
 func TestTraceSummarySchema(t *testing.T) {
 	path := writeInstanceFile(t)
 	trace := filepath.Join(t.TempDir(), "trace.jsonl")
 	const id = "4bf92f3577b34da6a3ce929d0e0e4736"
 	var out bytes.Buffer
-	if _, err := run([]string{"-quiet", "-trace", trace, "-trace-id", id, path}, &out); err != nil {
+	if _, err := run([]string{"-quiet", "-stats", "-trace", trace, "-trace-id", id, path}, &out); err != nil {
 		t.Fatal(err)
 	}
+	var k int
+	var cost, delay int64
+	if _, err := fmt.Sscanf(out.String(), "solve: k=%d cost=%d delay=%d", &k, &cost, &delay); err != nil {
+		t.Fatalf("summary line unparsable: %v\n%s", err, out.String())
+	}
+	cancels := cancellations(t, out.String())
 	data, err := os.ReadFile(trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-	var sum traceSummary
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &sum); err != nil {
-		t.Fatal(err)
+	if bytes.Contains(data, []byte(`"summary"`)) {
+		t.Fatal("the dump still ends with a summary trailer")
 	}
-	if !sum.Summary || sum.Schema != rec.Schema || sum.Trace != id {
-		t.Fatalf("summary = %+v, want schema %d trace %s", sum, rec.Schema, id)
+	hdr, evs := readTrace(t, trace)
+	if hdr.Schema != rec.Schema || hdr.Trace != id {
+		t.Fatalf("header = %+v, want schema %d trace %s", hdr, rec.Schema, id)
+	}
+	end := evs[len(evs)-1]
+	want := [4]int64{cost, delay, int64(cancels), 0}
+	if end.Kind != rec.KindSolveEnd || end.Args != want {
+		t.Fatalf("last event = %s %v, want solve-end %v", end.Kind, end.Args, want)
 	}
 }

@@ -18,7 +18,7 @@
 //	-dir DIR      aggregate report: one summary row per *.jsonl dump in
 //	              DIR (as written by krspd -trace-dir), plus totals.
 //
-// Dumps come from krspd (-trace-dir, /debug/trace/last) or krsp -flight.
+// Dumps come from krspd (-trace-dir, /debug/trace/last) or krsp -trace.
 // Timestamps are whatever clock recorded the trace — wall-clock
 // nanoseconds from the daemons, arbitrary manual-clock ticks in tests —
 // and the report always shows them relative to the first event.

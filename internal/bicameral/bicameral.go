@@ -23,9 +23,8 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/fault"
 	"repro/internal/graph"
-	"repro/internal/obs"
-	"repro/internal/obs/rec"
 	"repro/internal/residual"
+	"repro/internal/shortest"
 )
 
 // Params carries the quantities of Definition 10.
@@ -142,16 +141,6 @@ type Options struct {
 	// pathology: what a worst-case-compliant selection could do); never
 	// enable it for real solving.
 	Adversarial bool
-	// Metrics, when non-nil, receives search instrumentation: Find calls,
-	// searches, candidates, budget escalations, and the counts of every
-	// SPFA kernel the search runs. Nil (the default) records nothing and
-	// costs nothing. Metrics never influence results.
-	Metrics *obs.Registry
-	// Recorder, when non-nil, receives one search-done flight-recorder
-	// event per Find (found flag, budgets tried, candidates inspected,
-	// final budget) and a fault-hit event when the cycle-search fault point
-	// trips. Nil (the default) records nothing and costs nothing.
-	Recorder *rec.Recorder
 	// Cancel, when non-nil, is polled throughout the search; once stopped,
 	// Find returns found=false as fast as it can. A search that a
 	// cancellation cut short always leaves Cancel stopped, and a cancelled
@@ -160,13 +149,13 @@ type Options struct {
 	// (core does). A Find that returns with Cancel not stopped equals the
 	// uncancelled Find.
 	Cancel *cancel.Canceller
-	// Faults, when non-nil, is consulted at the deterministic injection
-	// sites (fault.PointCycleSearch on entry to Find, fault.PointLPRound per
-	// LP solve). Nil is a free no-op.
+	// Faults, when non-nil, is consulted at the LP engine's deterministic
+	// injection site (fault.PointLPRound per LP solve). Nil is a free no-op.
 	Faults *fault.Registry
 }
 
-// Stats instruments a search.
+// Stats instruments a search. The caller records it: core folds it into
+// the bicameral and SPFA metrics and the search-done event.
 type Stats struct {
 	BudgetsTried int
 	Searches     int
@@ -175,6 +164,9 @@ type Stats struct {
 	// Fallback holds the best W<0 candidate that failed the cost cap, if
 	// any; callers may use it under a relaxed-cap policy.
 	Fallback *Candidate
+	// SPFA counts the SPFA kernel runs of the combinatorial engine (zero
+	// under the other engines).
+	SPFA shortest.SPFACounts
 }
 
 // Find searches the residual graph for a bicameral cycle under the given
@@ -220,42 +212,13 @@ func Find(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bool) {
 			"(|Δ|=%d, max edge weight %d, n=%d); rescale the instance",
 			scale, maxW, n))
 	}
-	var (
-		cand  Candidate
-		st    Stats
-		found bool
-	)
-	// Injected cycle-search failure: report "nothing found". Safe because a
-	// not-found verdict only ever steers core toward its fallbacks (C_ref
-	// escalation, relaxed cap, phase-1 flow) — never into an infeasible
-	// output.
-	if err := o.Faults.Check(fault.PointCycleSearch); err != nil {
-		o.Recorder.Record(rec.KindFaultHit, int64(fault.PointCycleSearch), 0, 0, 0)
-		return cand, st, false
-	}
 	switch o.Engine {
 	case EngineLP:
-		cand, st, found = findLP(rg, p, o)
+		return findLP(rg, p, o)
 	case EngineMinRatio:
-		cand, st, found = findMinRatio(rg, p, o)
-	default:
-		cand, st, found = findCombinatorial(rg, p, o, k)
+		return findMinRatio(rg, p, o)
 	}
-	if bm := o.Metrics.BicameralMetrics(); bm != nil {
-		bm.Finds.Inc()
-		bm.Searches.Add(int64(st.Searches))
-		bm.Candidates.Add(int64(st.Candidates))
-		bm.BudgetEscalations.Add(int64(st.BudgetsTried))
-		if !found {
-			bm.NotFound.Inc()
-		}
-	}
-	var foundArg int64
-	if found {
-		foundArg = 1
-	}
-	o.Recorder.Record(rec.KindSearchDone, foundArg, int64(st.BudgetsTried), int64(st.Candidates), st.LastBudget)
-	return cand, st, found
+	return findCombinatorial(rg, p, o, k)
 }
 
 // better reports whether a should be preferred over b as the returned

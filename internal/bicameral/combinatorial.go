@@ -18,13 +18,26 @@ import (
 // combinatorially complete answer is reached. k is the lexicographic
 // factor (n+1)·max(|c|, |d|) + 1 that Find's overflow guard computed.
 func findCombinatorial(rg *residual.Graph, p Params, o Options, k int64) (Candidate, Stats, bool) {
-	var st Stats
 	seeds := rg.ReversedSeeds()
 	if len(seeds) == 0 {
 		// Without reversed edges every edge has W ≥ 0 (ΔC>0, ΔD<0 against
 		// nonnegative weights): no bicameral cycle can exist.
-		return Candidate{}, st, false
+		return Candidate{}, Stats{}, false
 	}
+	// One workspace serves every search: the detection rounds, the shared
+	// layered sweeps and the per-seed sweeps (it grows to layered size on
+	// first use). Its SPFA counts go back to the caller in Stats.
+	ws := shortest.NewWorkspace(rg.View().NumNodes())
+	ws.SetCancel(o.Cancel)
+	cand, st, found := searchCombinatorial(ws, rg, seeds, p, o, k)
+	st.SPFA = ws.SPFA
+	return cand, st, found
+}
+
+// searchCombinatorial is findCombinatorial's search on the workspace ws,
+// seeded at the residual's reversed-edge endpoints.
+func searchCombinatorial(ws *shortest.Workspace, rg *residual.Graph, seeds []graph.NodeID, p Params, o Options, k int64) (Candidate, Stats, bool) {
+	var st Stats
 	// The fast-path detection rounds below run on the residual's CSR view:
 	// flat weight arrays for the scans here, packed rows for the SPFA sweeps.
 	view := rg.View()
@@ -95,12 +108,6 @@ func findCombinatorial(rg *residual.Graph, p Params, o Options, k int64) (Candid
 		{Q: -p.DeltaD*k + 1, P: p.DeltaC * k},
 	}
 	wi := 0
-	// One workspace serves every search below: the detection rounds here,
-	// the shared layered sweeps and the per-seed sweeps (it grows to layered
-	// size on first use).
-	ws := shortest.NewWorkspace(view.NumNodes())
-	ws.SetMetrics(o.Metrics.ShortestMetrics())
-	ws.SetCancel(o.Cancel)
 	for round := 0; round <= 2*m+1; round++ {
 		if o.Cancel.Stopped() {
 			// A cancelled kernel reports "no cycle"; don't let that masquerade

@@ -125,7 +125,7 @@ func TestFindDigest(t *testing.T) {
 // included, on eight seeded ER instances: the SHA-256 of each Result and
 // error as printed by %+v.
 func TestSolveDigest(t *testing.T) {
-	const want = "ac5293c84435693ed7c80a2beb6ef316726edd5321c9b4bbdc2fd5b00f5e3d52"
+	const want = "b573360bf4874b7e4e142873eae4ffd353907a3a886e788a0c4c09d11a39e0d8"
 	h := sha256.New()
 	solves := 0
 	for round := 0; round < 8; round++ {
@@ -152,34 +152,41 @@ func TestSolveDigest(t *testing.T) {
 // Canceller stopped, because core reads Stopped() to tell a truncated
 // not-found from a complete one. So a Find that returns with Stopped()
 // false must equal the uncancelled Find. The context is cancelled before
-// every call; the poll stride decides how far each search gets first.
+// every call; the poll stride decides how far each search gets first. Each
+// input runs under its own engine and under the minratio engine.
 func TestCancelledFindLatchesCaller(t *testing.T) {
 	ctx, stop := context.WithCancel(context.Background())
 	stop()
 	corpus := findCorpus(t, 300)
-	latched := 0
+	latched := map[bicameral.Engine]int{}
 	for _, in := range corpus {
-		for stride := 2; stride <= 4096; stride *= 4 {
-			c := cancel.New(ctx, stride)
-			o := in.o
-			o.Cancel = c
-			cand, st, found := bicameral.Find(in.rg, in.p, o)
-			stopped := c.Stopped()
-			c.Release()
-			if stopped {
-				latched++
-				continue
-			}
-			// An unlatched search made fewer polls than the stride, so the
-			// uncancelled one it must equal is as cheap.
-			wantCand, wantSt, wantFound := bicameral.Find(in.rg, in.p, in.o)
-			if found != wantFound || !reflect.DeepEqual(cand, wantCand) || !reflect.DeepEqual(st, wantSt) {
-				t.Fatalf("%s, stride %d: Find returned with the Canceller not stopped, but differs from the uncancelled Find:\n  got  found=%v %+v %+v\n  want found=%v %+v %+v",
-					in.name, stride, found, cand, st, wantFound, wantCand, wantSt)
+		for _, engine := range []bicameral.Engine{in.o.Engine, bicameral.EngineMinRatio} {
+			uncancelled := in.o
+			uncancelled.Engine = engine
+			for stride := 2; stride <= 4096; stride *= 4 {
+				c := cancel.New(ctx, stride)
+				o := uncancelled
+				o.Cancel = c
+				cand, st, found := bicameral.Find(in.rg, in.p, o)
+				stopped := c.Stopped()
+				c.Release()
+				if stopped {
+					latched[engine]++
+					continue
+				}
+				// An unlatched search made fewer polls than the stride, so the
+				// uncancelled one it must equal is as cheap.
+				wantCand, wantSt, wantFound := bicameral.Find(in.rg, in.p, uncancelled)
+				if found != wantFound || !reflect.DeepEqual(cand, wantCand) || !reflect.DeepEqual(st, wantSt) {
+					t.Fatalf("%s, %s engine, stride %d: Find returned with the Canceller not stopped, but differs from the uncancelled Find:\n  got  found=%v %+v %+v\n  want found=%v %+v %+v",
+						in.name, engine, stride, found, cand, st, wantFound, wantCand, wantSt)
+				}
 			}
 		}
 	}
-	if latched == 0 {
-		t.Fatal("no cancellation ever landed; strides too coarse for the corpus")
+	for _, engine := range []bicameral.Engine{bicameral.EngineCombinatorial, bicameral.EngineMinRatio} {
+		if latched[engine] == 0 {
+			t.Errorf("%s engine: no cancellation ever landed", engine)
+		}
 	}
 }

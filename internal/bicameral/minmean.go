@@ -22,9 +22,12 @@ func findMinRatio(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bo
 		return Candidate{}, st, false
 	}
 	// One workspace for the whole parametric search: up to ~50 SPFA sweeps
-	// share it (extracted cycles are fresh slices, so reuse is safe).
+	// share it (extracted cycles are fresh slices, so reuse is safe). A
+	// cancelled sweep reports "no cycle", which would steer the bisection,
+	// so the search leaves as soon as the Canceller has stopped.
 	view := rg.View()
 	ws := shortest.NewWorkspace(view.NumNodes())
+	ws.SetCancel(o.Cancel)
 
 	// Fast exits: a plain negative-delay cycle (the μ → −∞ limit).
 	st.Searches++
@@ -57,7 +60,7 @@ func findMinRatio(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bo
 	lo, hi := -sumD, int64(0) // μ ∈ [−Σ|d|, 0]
 	var bestCycle graph.Cycle
 	haveCycle := false
-	for iter := 0; iter < 48 && lo < hi; iter++ {
+	for iter := 0; iter < 48 && lo < hi && !o.Cancel.Stopped(); iter++ {
 		mid := lo + (hi-lo)/2 // try to certify a cycle with d − μ·ĉ < 0
 		st.Searches++
 		if _, cyc, ok := shortest.SPFAAllCSRInto(ws, cHat, shortest.LinCombine(-mid, 1), nil); !ok {
@@ -68,7 +71,7 @@ func findMinRatio(rg *residual.Graph, p Params, o Options) (Candidate, Stats, bo
 			lo = mid + 1
 		}
 	}
-	if !haveCycle {
+	if !haveCycle || o.Cancel.Stopped() {
 		return Candidate{}, st, false
 	}
 	if cand, good := classifyCycle(rg, bestCycle, p, &st); good {

@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,45 @@ import (
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/obs"
+	"repro/internal/obs/rec"
 )
+
+// checkBrackets holds one solve's event stream to its bracket rules: phase
+// starts and ends pair up and nest, and the stream is one solve-start
+// followed, when the solve succeeded, by one solve-end as its last event.
+func checkBrackets(evs []rec.Event, ok bool) error {
+	var open []int64
+	starts, ends := 0, 0
+	for i, ev := range evs {
+		switch ev.Kind {
+		case rec.KindSolveStart:
+			starts++
+		case rec.KindSolveEnd:
+			ends++
+			if i != len(evs)-1 {
+				return fmt.Errorf("solve-end at event %d of %d", i, len(evs))
+			}
+		case rec.KindPhaseStart:
+			open = append(open, ev.Args[0])
+		case rec.KindPhaseEnd:
+			if len(open) == 0 || open[len(open)-1] != ev.Args[0] {
+				return fmt.Errorf("phase-end %v at event %d closes open phases %v", obs.Phase(ev.Args[0]), i, open)
+			}
+			open = open[:len(open)-1]
+		}
+	}
+	if len(open) != 0 {
+		return fmt.Errorf("phases %v never end", open)
+	}
+	wantEnds := 0
+	if ok {
+		wantEnds = 1
+	}
+	if starts != 1 || ends != wantEnds || evs[0].Kind != rec.KindSolveStart {
+		return fmt.Errorf("%d solve-start and %d solve-end events (first %s), want 1 and %d", starts, ends, evs[0].Kind, wantEnds)
+	}
+	return nil
+}
 
 // TestChaosSoak hammers SolveCtx with seeded random fault injection and
 // cancellation trips across ≥ 500 solves, asserting the robustness
@@ -20,7 +59,9 @@ import (
 // panic ever escapes, no delay bound is ever violated, no solve hangs.
 // Deterministic: every random draw comes from seeded sources, and
 // cancellation fires via fault.PointCancel trips rather than wall-clock
-// deadlines. Skipped under -short.
+// deadlines. A flight recorder, reset every round, holds each solve's
+// event stream to checkBrackets under faults and degradation too.
+// Skipped under -short.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
@@ -28,6 +69,7 @@ func TestChaosSoak(t *testing.T) {
 	const rounds = 650 // ≥ 500 actual solves after infeasible-bound skips
 	r := rand.New(rand.NewSource(20260805))
 	reg := obs.New(&obs.ManualClock{})
+	fr := rec.New(nil, 1<<16)
 	solves, degraded, rebuilt := 0, 0, 0
 	for i := 0; i < rounds; i++ {
 		n := 10 + r.Intn(16)
@@ -53,6 +95,7 @@ func TestChaosSoak(t *testing.T) {
 		opt := core.Options{
 			Faults:    faults,
 			Metrics:   reg,
+			Recorder:  fr,
 			PollEvery: 1 << uint(r.Intn(11)), // strides 1..1024
 		}
 		// The LP engine is exercised on the smallest instances only (it is
@@ -61,10 +104,17 @@ func TestChaosSoak(t *testing.T) {
 			opt.Engine = bicameral.EngineLP
 			faults.Arm(fault.PointLPRound, r.Float64())
 		}
+		fr.Reset()
 		ctx, stop := context.WithCancel(context.Background())
 		res, err := core.SolveCtx(ctx, bounded, opt)
 		stop()
 		solves++
+		if fr.Dropped() != 0 {
+			t.Fatalf("round %d (%s): the ring dropped %d events", i, bounded.Name, fr.Dropped())
+		}
+		if berr := checkBrackets(fr.Events(), err == nil); berr != nil {
+			t.Fatalf("round %d (%s, err %v): %v", i, bounded.Name, err, berr)
+		}
 		if err != nil {
 			// The instance is feasible by construction, so the only clean
 			// failure modes are the typed ones.

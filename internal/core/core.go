@@ -68,8 +68,7 @@ type Result struct {
 }
 
 // Stats instruments a solve. The JSON tags are part of the daemon's
-// response schema (cmd/krspd echoes Stats per request) and of krsp's
-// -trace JSONL output.
+// response schema (cmd/krspd echoes Stats per request).
 type Stats struct {
 	// Phase1 records the first-phase Lagrangian search.
 	Phase1 Phase1Stats `json:"phase1"`
@@ -98,23 +97,6 @@ type Stats struct {
 	// ResidualRebuilds counts full residual-graph rebuilds forced by a
 	// failed (or fault-injected) incremental update — the self-healing path.
 	ResidualRebuilds int `json:"residualRebuilds"`
-	// Trace holds one record per cancellation iteration when
-	// Options.CollectTrace is set (nil otherwise).
-	Trace []IterationRecord `json:"trace,omitempty"`
-}
-
-// IterationRecord captures the state of one Algorithm-1 iteration, enough
-// to verify Lemma 12's monotonicity (r = ΔD/ΔC nondecreasing) offline.
-type IterationRecord struct {
-	// Cost and Delay are the solution totals BEFORE applying the cycle.
-	Cost  int64 `json:"cost"`
-	Delay int64 `json:"delay"`
-	// CRef is the C_OPT stand-in in force.
-	CRef int64 `json:"cref"`
-	// CycleCost, CycleDelay and Type describe the applied candidate.
-	CycleCost  int64 `json:"cycleCost"`
-	CycleDelay int64 `json:"cycleDelay"`
-	Type       int   `json:"type"`
 }
 
 // Options tune Solve, SolveCtx, SolveScaledCtx and SolveBatchCtx.
@@ -133,13 +115,11 @@ type Options struct {
 	// phase-1 endpoint in place of a costlier cancelled solution (the
 	// paper's Algorithm 1 has no such net). Never use it for real solving.
 	Figure1Ablation bool
-	// CollectTrace records one IterationRecord per cancellation in
-	// Stats.Trace (off by default: it allocates).
-	CollectTrace bool
 	// Metrics, when non-nil, receives solver telemetry: outcome counters
 	// recorded from Stats after each SolveCtx/SolveScaledCtx, per-phase
-	// duration spans, and the flow/bicameral/SPFA kernel counts of every layer
-	// underneath (DESIGN.md §9 catalogues the names). Nil (the default) is
+	// duration spans, the min-cost-flow kernel's counts, and the bicameral
+	// and SPFA counts of every search, folded from what bicameral.Find
+	// returns (DESIGN.md §9 catalogues the names). Nil (the default) is
 	// a no-op sink with zero cost on the solve path — `make bench-guard`
 	// enforces that SolveN60K3 allocates nothing extra with Metrics unset.
 	// Metrics never influence results.

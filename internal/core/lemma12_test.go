@@ -5,10 +5,42 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/obs/rec"
 )
 
+// iterRecord is one cancellation as the flight recorder's stream describes
+// it: the solution totals and the C_ref in force before the step, and the
+// applied candidate.
+type iterRecord struct {
+	Cost, Delay, CRef                int64
+	CycleCost, CycleDelay, CycleType int64
+}
+
+// iterRecords rebuilds one record per cancellation from a solve's event
+// stream: cancel-start gives the loop's starting totals and C_ref,
+// cref-escalate moves C_ref, and each cancel-step is one record, after
+// which its candidate's cost and delay move the totals.
+func iterRecords(evs []rec.Event) []iterRecord {
+	var out []iterRecord
+	var cost, delay, cref int64
+	for _, ev := range evs {
+		switch ev.Kind {
+		case rec.KindCancelStart:
+			cost, delay, cref = ev.Args[0], ev.Args[1], ev.Args[2]
+		case rec.KindCRefEscalate:
+			cref = ev.Args[1]
+		case rec.KindCancelStep:
+			out = append(out, iterRecord{cost, delay, cref, ev.Args[1], ev.Args[2], ev.Args[3]})
+			cost += ev.Args[1]
+			delay += ev.Args[2]
+		}
+	}
+	return out
+}
+
 // TestLemma12Monotonicity verifies the paper's Lemma 12 empirically on
-// every traced cancellation: across iterations with a fixed C_ref, either
+// every recorded cancellation: across iterations with a fixed C_ref, either
 // r = ΔD/ΔC strictly increases, or it stays equal while ΔD strictly
 // shrinks in magnitude. (C_ref escalations reset the frame, so only
 // consecutive records sharing a CRef are compared.)
@@ -21,11 +53,15 @@ func TestLemma12Monotonicity(t *testing.T) {
 			return true
 		}
 		ins.Bound = feas.MinDelay + r.Int63n(12)
-		res, err := Solve(ins, Options{CollectTrace: true})
-		if err != nil {
+		fr := rec.New(nil, 1<<12)
+		res, err := Solve(ins, Options{Recorder: fr})
+		if err != nil || fr.Dropped() != 0 {
 			return false
 		}
-		recs := res.Stats.Trace
+		recs := iterRecords(fr.Events())
+		if len(recs) != res.Stats.Iterations {
+			return false
+		}
 		for i := 1; i < len(recs); i++ {
 			prev, cur := recs[i-1], recs[i]
 			if prev.CRef != cur.CRef {
@@ -44,7 +80,7 @@ func TestLemma12Monotonicity(t *testing.T) {
 				return false // r decreased: Lemma 12 violated
 			}
 		}
-		// Every traced cycle must also satisfy W < 0 or the boundary
+		// Every recorded cycle must also satisfy W < 0 or the boundary
 		// type-1 condition in its own frame.
 		for _, rec := range recs {
 			dd := ins.Bound - rec.Delay
@@ -61,24 +97,5 @@ func TestLemma12Monotonicity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTraceOffByDefault guards the zero-allocation default.
-func TestTraceOffByDefault(t *testing.T) {
-	ins := tradeoff(10)
-	res, err := Solve(ins, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Trace != nil {
-		t.Fatal("trace collected without CollectTrace")
-	}
-	res, err = Solve(ins, Options{CollectTrace: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Iterations > 0 && len(res.Stats.Trace) != res.Stats.Iterations {
-		t.Fatalf("trace len %d vs iterations %d", len(res.Stats.Trace), res.Stats.Iterations)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/obs/rec"
 )
 
 // obsInstance builds the deterministic small instance the metric tests
@@ -25,14 +26,22 @@ func obsInstance(t *testing.T) graph.Instance {
 
 // TestSolveMetricsMatchStats drives Solve with a live registry and checks
 // the recorded counters against the returned Stats — the same consistency
-// the krspd integration test asserts over HTTP.
+// the krspd integration test asserts over HTTP — and against the event
+// stream of a recorder attached to the same solve: core records both
+// channels from the same search and residual results, and this is what
+// ties them together.
 func TestSolveMetricsMatchStats(t *testing.T) {
 	reg := obs.New(&obs.ManualClock{})
+	fr := rec.New(nil, 1<<16)
 	ins := obsInstance(t)
-	res, err := core.Solve(ins, core.Options{Metrics: reg})
+	res, err := core.Solve(ins, core.Options{Metrics: reg, Recorder: fr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Stats.Iterations == 0 {
+		t.Fatal("the metric test instance no longer needs a cancellation")
+	}
+	checkMetricsMatchEvents(t, reg, fr.Events())
 	sm := reg.SolverMetrics()
 	if got := sm.Solves.Value(); got != 1 {
 		t.Fatalf("solves = %d, want 1", got)
@@ -68,6 +77,55 @@ func TestSolveMetricsMatchStats(t *testing.T) {
 	}
 	if got := sm.Solves.Value(); got != 2 {
 		t.Fatalf("solves after second run = %d, want 2", got)
+	}
+}
+
+// checkMetricsMatchEvents compares the registry's totals after one solve
+// with that solve's event stream: one Find per search-done, whose budget
+// and candidate arguments sum to the registry's counters; one cancellation
+// per cancel-step; one C_ref escalation per cref-escalate; and one
+// observation in each phase histogram per phase-end of that phase.
+func checkMetricsMatchEvents(t *testing.T, reg *obs.Registry, evs []rec.Event) {
+	t.Helper()
+	var finds, budgets, candidates, steps, crefs int64
+	var phaseEnds [obs.NumPhases]int64
+	for _, ev := range evs {
+		switch ev.Kind {
+		case rec.KindSearchDone:
+			finds++
+			budgets += ev.Args[1]
+			candidates += ev.Args[2]
+		case rec.KindCancelStep:
+			steps++
+		case rec.KindCRefEscalate:
+			crefs++
+		case rec.KindPhaseEnd:
+			phaseEnds[ev.Args[0]]++
+		}
+	}
+	bm, sm := reg.BicameralMetrics(), reg.SolverMetrics()
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"finds", bm.Finds.Value(), finds},
+		{"budget escalations", bm.BudgetEscalations.Value(), budgets},
+		{"solver budget escalations", sm.BudgetEscalations.Value(), budgets},
+		{"candidates", bm.Candidates.Value(), candidates},
+		{"cancellations", sm.Cancellations.Value(), steps},
+		{"cref escalations", sm.CRefEscalations.Value(), crefs},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: registry %d, events %d", c.name, c.got, c.want)
+		}
+	}
+	if finds == 0 {
+		t.Error("no search-done event: the comparison is empty")
+	}
+	for p := obs.Phase(0); p < obs.PhaseTotal; p++ {
+		if got := reg.PhaseHistogram(p).Count(); got != phaseEnds[p] {
+			t.Errorf("phase %v: %d histogram observations, %d phase-end events", p, got, phaseEnds[p])
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/obs/rec"
@@ -113,6 +114,63 @@ func TestSolveRecordsTrajectory(t *testing.T) {
 				prevIter, prevGap, ev.Args[0], ev.Args[3])
 		}
 		prevIter, prevGap = ev.Args[0], ev.Args[3]
+	}
+}
+
+// resultFlags is the solve-end flags word a Result should close its stream
+// with.
+func resultFlags(res core.Result) int64 {
+	var flags int64
+	if res.Stats.Degraded {
+		flags |= rec.FlagDegraded
+	}
+	if res.Exact {
+		flags |= rec.FlagExact
+	}
+	if res.Stats.RelaxedCap {
+		flags |= rec.FlagRelaxedCap
+	}
+	if res.Stats.FellBackToPhase1 {
+		flags |= rec.FlagFellBack
+	}
+	return flags
+}
+
+// TestScaledSolveRecordsItsOwnAnswer: a scaled solve's stream is one
+// solve-start/solve-end pair in original weights. The inner solve on the
+// rounded instance records neither, and the solve-end, last in the stream,
+// carries the returned Result. The instance's weights make the rounding
+// granularity ε·D/(k·n) well above 1, so the inner answer's scaled cost
+// and delay differ from the Result's.
+func TestScaledSolveRecordsItsOwnAnswer(t *testing.T) {
+	const eps = 0.5
+	ins := gen.ER(7, 40, 0.2, gen.Weights{MaxCost: 5000, MaxDelay: 5000, Correlation: -0.8})
+	ins.K = 2
+	bounded, ok := gen.WithBound(ins, 1.1)
+	if !ok {
+		t.Fatal("scaled test instance infeasible")
+	}
+	if theta := eps * float64(bounded.Bound) / float64(bounded.K*bounded.G.NumNodes()); theta < 2 {
+		t.Fatalf("delay granularity %.2f: the instance no longer rounds", theta)
+	}
+	r := rec.New(nil, 1<<16)
+	res, err := core.SolveScaledCtx(context.Background(), bounded, eps, eps, core.Options{Recorder: r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := r.Events()
+	counts := eventCounts(evs)
+	if counts[rec.KindSolveStart] != 1 || counts[rec.KindSolveEnd] != 1 {
+		t.Fatalf("solve-start %d, solve-end %d events, want one each",
+			counts[rec.KindSolveStart], counts[rec.KindSolveEnd])
+	}
+	if evs[0].Kind != rec.KindSolveStart {
+		t.Fatalf("first event = %s, want solve-start", evs[0].Kind)
+	}
+	last := evs[len(evs)-1]
+	want := [4]int64{res.Cost, res.Delay, int64(res.Stats.Iterations), resultFlags(res)}
+	if last.Kind != rec.KindSolveEnd || last.Args != want {
+		t.Fatalf("last event = %s %v, want solve-end %v", last.Kind, last.Args, want)
 	}
 }
 

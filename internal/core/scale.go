@@ -9,7 +9,6 @@ import (
 	"repro/internal/cancel"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/obs/rec"
 )
 
 // SolveScaledCtx is Theorem 4: for fixed ε₁, ε₂ > 0 it rounds edge delays
@@ -30,9 +29,10 @@ func SolveScaledCtx(ctx context.Context, ins graph.Instance, eps1, eps2 float64,
 	c := cancel.New(ctx, opt.PollEvery)
 	defer c.Release()
 	total := opt.Metrics.StartSpan(obs.PhaseTotal)
+	recordStart(opt.Recorder, ins)
 	res, err := solveScaled(ins, eps1, eps2, opt, c)
 	total.End()
-	recordOutcome(opt.Metrics, res, err)
+	recordOutcome(opt.Metrics, opt.Recorder, res, err)
 	return res, err
 }
 
@@ -45,14 +45,11 @@ func solveScaled(ins graph.Instance, eps1, eps2 float64, opt Options, c *cancel.
 	}
 	m := opt.Metrics
 	r := opt.Recorder
-	r.Record(rec.KindSolveStart, int64(ins.G.NumNodes()), int64(ins.G.NumEdges()), int64(ins.K), ins.Bound)
 	// Phase 1 on the ORIGINAL instance supplies Ĉ and settles feasibility
 	// questions exactly (scaling must not change feasibility verdicts).
-	ps := m.StartSpan(obs.PhasePhase1)
-	r.Record(rec.KindPhaseStart, int64(obs.PhasePhase1), 0, 0, 0)
+	pp := startPhase(m, r, obs.PhasePhase1)
 	p1, err := phase1(ins, m.FlowMetrics(), c, r)
-	ps.End()
-	r.Record(rec.KindPhaseEnd, int64(obs.PhasePhase1), 0, 0, 0)
+	pp.end()
 	if err != nil {
 		return Result{}, err
 	}
@@ -71,11 +68,11 @@ func solveScaled(ins graph.Instance, eps1, eps2 float64, opt Options, c *cancel.
 	thetaD := int64(min(max(eps1*float64(ins.Bound)/float64(nPrime), 1), 1<<62))
 	thetaC := int64(min(max(eps2*float64(p1.CLPCeil)/float64(nPrime), 1), 1<<62))
 
-	// The scale span covers rounding plus the inner pseudo-polynomial
-	// solve; the inner run goes through the internal solve so it is not
-	// double-counted as a second krsp_solves_total.
-	ss := m.StartSpan(obs.PhaseScale)
-	r.Record(rec.KindPhaseStart, int64(obs.PhaseScale), 0, 0, 0)
+	// The scale phase covers rounding plus the inner pseudo-polynomial
+	// solve; the inner run goes through the internal solve so it is neither
+	// counted as a second krsp_solves_total nor bracketed by its own
+	// solve-start/solve-end in scaled weights.
+	sp := startPhase(m, r, obs.PhaseScale)
 	sg := graph.New(g.NumNodes())
 	for _, e := range g.EdgesView() {
 		sg.AddEdge(e.From, e.To, e.Cost/thetaC, e.Delay/thetaD)
@@ -86,8 +83,7 @@ func solveScaled(ins graph.Instance, eps1, eps2 float64, opt Options, c *cancel.
 		Name:  ins.Name + " (scaled)",
 	}
 	sres, err := solve(scaled, opt, c)
-	ss.End()
-	r.Record(rec.KindPhaseEnd, int64(obs.PhaseScale), 0, 0, 0)
+	sp.end()
 	if err != nil {
 		if errors.Is(err, ErrNoProgress) {
 			// The deadline hit inside the scaled re-solve before it rebuilt

@@ -38,18 +38,32 @@ func SolveCtx(ctx context.Context, ins graph.Instance, opt Options) (Result, err
 	c := cancel.New(ctx, opt.PollEvery)
 	defer c.Release()
 	total := opt.Metrics.StartSpan(obs.PhaseTotal)
+	recordStart(opt.Recorder, ins)
 	res, err := solve(ins, opt, c)
 	total.End()
-	recordOutcome(opt.Metrics, res, err)
+	recordOutcome(opt.Metrics, opt.Recorder, res, err)
 	return res, err
 }
 
-// recordOutcome folds one finished solve into the metric sink, reading
-// everything from the returned Stats so the cancellation loop itself
-// carries no record calls. Nil-safe; called once per exported entry point
-// (SolveCtx, SolveScaledCtx — never by the internal solve, which would
-// double-count the scaled inner run).
-func recordOutcome(m *obs.Registry, res Result, err error) {
+// recordStart records the solve-start event that opens an exported entry
+// point's stream. Nil-safe.
+func recordStart(r *rec.Recorder, ins graph.Instance) {
+	if ins.G != nil {
+		r.Record(rec.KindSolveStart, int64(ins.G.NumNodes()), int64(ins.G.NumEdges()), int64(ins.K), ins.Bound)
+	}
+}
+
+// recordOutcome closes one finished solve: a successful one records its
+// solve-end event, and both kinds fold into the metric sink, read from the
+// returned Stats so the cancellation loop itself carries no outcome
+// records. Nil-safe; called once per exported entry point (SolveCtx,
+// SolveScaledCtx — never by the internal solve, so the scaled inner run
+// neither counts as a second solve nor closes the stream in scaled
+// weights).
+func recordOutcome(m *obs.Registry, r *rec.Recorder, res Result, err error) {
+	if err == nil {
+		r.Record(rec.KindSolveEnd, res.Cost, res.Delay, int64(res.Stats.Iterations), outcomeFlags(res))
+	}
 	sm := m.SolverMetrics()
 	if sm == nil {
 		return
@@ -84,20 +98,79 @@ func recordOutcome(m *obs.Registry, res Result, err error) {
 	sm.ResidualRebuilds.Add(int64(st.ResidualRebuilds))
 }
 
-// solve is Solve without the outcome recording and total-phase span; the
-// scaled path reuses it to avoid double-counting solves. c may be nil (no
-// cancellation).
+// outcomeFlags packs a Result's outcome bits for its solve-end event.
+func outcomeFlags(res Result) int64 {
+	var flags int64
+	if res.Stats.Degraded {
+		flags |= rec.FlagDegraded
+	}
+	if res.Exact {
+		flags |= rec.FlagExact
+	}
+	if res.Stats.RelaxedCap {
+		flags |= rec.FlagRelaxedCap
+	}
+	if res.Stats.FellBackToPhase1 {
+		flags |= rec.FlagFellBack
+	}
+	return flags
+}
+
+// phase is one pipeline phase in flight: its duration span in the metric
+// registry and its phase-start/phase-end events in the flight recorder,
+// opened together by startPhase and closed together by end, so the two
+// channels cannot disagree about where a phase begins or ends. It is a
+// value type and allocates nothing; under a nil registry and a nil
+// recorder it does nothing.
+type phase struct {
+	span obs.Span
+	r    *rec.Recorder
+	p    obs.Phase
+}
+
+// startPhase opens phase p.
+func startPhase(m *obs.Registry, r *rec.Recorder, p obs.Phase) phase {
+	ph := phase{span: m.StartSpan(p), r: r, p: p}
+	r.Record(rec.KindPhaseStart, int64(p), 0, 0, 0)
+	return ph
+}
+
+// end closes the phase. Call it exactly once.
+func (ph phase) end() {
+	ph.span.End()
+	ph.r.Record(rec.KindPhaseEnd, int64(ph.p), 0, 0, 0)
+}
+
+// recordSearch folds one bicameral.Find into the bicameral and SPFA
+// counters and records its search-done event, all from what Find returned.
+func recordSearch(m *obs.Registry, r *rec.Recorder, st bicameral.Stats, found bool) {
+	var foundArg int64
+	if found {
+		foundArg = 1
+	}
+	r.Record(rec.KindSearchDone, foundArg, int64(st.BudgetsTried), int64(st.Candidates), st.LastBudget)
+	if bm := m.BicameralMetrics(); bm != nil {
+		bm.Finds.Inc()
+		bm.Searches.Add(int64(st.Searches))
+		bm.Candidates.Add(int64(st.Candidates))
+		bm.BudgetEscalations.Add(int64(st.BudgetsTried))
+		if !found {
+			bm.NotFound.Inc()
+		}
+	}
+	m.ShortestMetrics().RecordRuns(st.SPFA.Runs, st.SPFA.Relaxations, st.SPFA.NegCycles)
+}
+
+// solve is Solve without the solve-start/solve-end events, the outcome
+// recording and the total-phase span; the scaled path reuses it so its
+// inner run is neither counted nor bracketed as a second solve. c may be
+// nil (no cancellation).
 func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error) {
 	m := opt.Metrics
 	r := opt.Recorder
-	if ins.G != nil {
-		r.Record(rec.KindSolveStart, int64(ins.G.NumNodes()), int64(ins.G.NumEdges()), int64(ins.K), ins.Bound)
-	}
-	ps := m.StartSpan(obs.PhasePhase1)
-	r.Record(rec.KindPhaseStart, int64(obs.PhasePhase1), 0, 0, 0)
+	pp := startPhase(m, r, obs.PhasePhase1)
 	p1, err := phase1(ins, m.FlowMetrics(), c, r)
-	ps.End()
-	r.Record(rec.KindPhaseEnd, int64(obs.PhasePhase1), 0, 0, 0)
+	pp.end()
 	if err != nil {
 		return Result{}, err
 	}
@@ -139,9 +212,8 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 	// bit-identical to rebuilding against the new solution but costs
 	// O(cycle length) instead of O(m) per iteration.
 	rg := residual.Build(g, cur)
-	rg.SetRecorder(r)
-	cs := m.StartSpan(obs.PhaseCancel)
-	r.Record(rec.KindPhaseStart, int64(obs.PhaseCancel), 0, 0, 0)
+	cp := startPhase(m, r, obs.PhaseCancel)
+	r.Record(rec.KindCancelStart, curCost, curDelay, cRef, 0)
 	// degrade returns the anytime answer: the solutions this loop walks
 	// through are delay-INfeasible until it exits, so the feasible phase-1
 	// endpoint Lo is the best certified intermediate at every iteration. It
@@ -149,8 +221,7 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 	degrade := func() (Result, error) {
 		stats.Degraded = true
 		r.Record(rec.KindDegraded, int64(obs.PhaseCancel), 0, 0, 0)
-		cs.End()
-		r.Record(rec.KindPhaseEnd, int64(obs.PhaseCancel), 0, 0, 0)
+		cp.end()
 		return finish(ins, p1.Lo.Edges, p1, stats, false, m, r)
 	}
 	for curDelay > ins.Bound && stats.Iterations < maxIter {
@@ -175,15 +246,27 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 			DeltaC:  cRef - curCost,
 			CostCap: cap,
 		}
-		cand, bst, found := bicameral.Find(rg, params, bicameral.Options{
-			Engine:      opt.Engine,
-			FullSweep:   opt.FullSweep,
-			Adversarial: opt.Figure1Ablation,
-			Metrics:     m,
-			Recorder:    r,
-			Cancel:      c,
-			Faults:      opt.Faults,
-		})
+		var (
+			cand  bicameral.Candidate
+			bst   bicameral.Stats
+			found bool
+		)
+		// Injected cycle-search failure: the search reports "nothing found"
+		// without running. Safe because a not-found verdict only ever steers
+		// the loop toward its fallbacks (C_ref escalation, relaxed cap,
+		// phase-1 flow) — never into an infeasible output.
+		if opt.Faults.Check(fault.PointCycleSearch) != nil {
+			r.Record(rec.KindFaultHit, int64(fault.PointCycleSearch), 0, 0, 0)
+		} else {
+			cand, bst, found = bicameral.Find(rg, params, bicameral.Options{
+				Engine:      opt.Engine,
+				FullSweep:   opt.FullSweep,
+				Adversarial: opt.Figure1Ablation,
+				Cancel:      c,
+				Faults:      opt.Faults,
+			})
+			recordSearch(m, r, bst, found)
+		}
 		stats.BudgetsTried += bst.BudgetsTried
 		if c.Stopped() {
 			// A cancelled Find's not-found is no certificate (see
@@ -213,49 +296,38 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 			} else {
 				stats.FellBackToPhase1 = true
 				r.Record(rec.KindFallback, rec.FallbackSearchExhausted, 0, 0, 0)
-				cs.End()
-				r.Record(rec.KindPhaseEnd, int64(obs.PhaseCancel), 0, 0, 0)
+				cp.end()
 				return finish(ins, p1.Lo.Edges, p1, stats, false, m, r)
 			}
 		}
 		next, err := rg.ApplyAll(cand.Cycles)
 		if err != nil {
-			cs.End()
+			cp.end()
 			return Result{}, fmt.Errorf("krsp: internal: cycle application failed: %v", err)
+		}
+		edges := 0
+		for _, cyc := range cand.Cycles {
+			edges += len(cyc.Edges)
 		}
 		// Incremental residual maintenance is an optimization, never a
 		// correctness dependency: an update failure (genuine or injected)
 		// heals by rebuilding from the new solution, which is what Update is
 		// bit-identical to.
-		if ferr := opt.Faults.Check(fault.PointResidualUpdate); ferr != nil {
+		uerr := opt.Faults.Check(fault.PointResidualUpdate)
+		if uerr != nil {
 			r.Record(rec.KindFaultHit, int64(fault.PointResidualUpdate), 0, 0, 0)
-			rg = residual.Build(g, next)
-			rg.SetRecorder(r)
-			stats.ResidualRebuilds++
-			r.Record(rec.KindResidualRebuild, int64(stats.Iterations), 0, 0, 0)
-		} else if err := rg.Update(cand.Cycles); err != nil {
-			rg = residual.Build(g, next)
-			rg.SetRecorder(r)
-			stats.ResidualRebuilds++
-			r.Record(rec.KindResidualRebuild, int64(stats.Iterations), 0, 0, 0)
+		} else if uerr = rg.Update(cand.Cycles); uerr == nil {
+			r.Record(rec.KindResidualApply, int64(len(cand.Cycles)), int64(edges), 0, 0)
 		}
-		if opt.CollectTrace {
-			stats.Trace = append(stats.Trace, IterationRecord{
-				Cost: curCost, Delay: curDelay, CRef: cRef,
-				CycleCost: cand.Cost, CycleDelay: cand.Delay,
-				Type: int(cand.Type),
-			})
+		if uerr != nil {
+			rg = residual.Build(g, next)
+			stats.ResidualRebuilds++
+			r.Record(rec.KindResidualRebuild, int64(stats.Iterations), 0, 0, 0)
 		}
 		cur = next
 		curCost += cand.Cost   //lint:allow weightovf solution aggregate over MaxWeight-capped edges; ≤ m·MaxWeight
 		curDelay += cand.Delay //lint:allow weightovf solution aggregate over MaxWeight-capped edges; ≤ m·MaxWeight
-		if r != nil {
-			edges := 0
-			for _, cyc := range cand.Cycles {
-				edges += len(cyc.Edges)
-			}
-			r.Record(rec.KindCancelStep, int64(edges), cand.Cost, cand.Delay, int64(cand.Type))
-		}
+		r.Record(rec.KindCancelStep, int64(edges), cand.Cost, cand.Delay, int64(cand.Type))
 		stats.Iterations++
 		if cand.Type >= 0 && int(cand.Type) < 3 {
 			stats.CyclesByType[cand.Type]++
@@ -271,8 +343,7 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 			r.Record(rec.KindCRefEscalate, old, cRef, 0, 0)
 		}
 	}
-	cs.End()
-	r.Record(rec.KindPhaseEnd, int64(obs.PhaseCancel), 0, 0, 0)
+	cp.end()
 	if curDelay > ins.Bound {
 		// Iteration cap hit: fall back to the feasible endpoint.
 		stats.FellBackToPhase1 = true
@@ -293,36 +364,19 @@ func solve(ins graph.Instance, opt Options, c *cancel.Canceller) (Result, error)
 // Flow cycles left over by decomposition are dropped: with nonnegative
 // weights that never increases cost or delay.
 func finish(ins graph.Instance, edges graph.EdgeSet, p1 Phase1Result, stats Stats, exact bool, m *obs.Registry, r *rec.Recorder) (Result, error) {
-	ds := m.StartSpan(obs.PhaseDecompose)
-	defer ds.End()
-	r.Record(rec.KindPhaseStart, int64(obs.PhaseDecompose), 0, 0, 0)
+	dp := startPhase(m, r, obs.PhaseDecompose)
 	paths, _, err := flow.Decompose(ins.G, edges, ins.S, ins.T, ins.K)
-	r.Record(rec.KindPhaseEnd, int64(obs.PhaseDecompose), 0, 0, 0)
+	dp.end()
 	if err != nil {
 		return Result{}, fmt.Errorf("krsp: internal: decompose: %v", err)
 	}
 	sol := graph.Solution{Paths: paths}
-	res := Result{
+	return Result{
 		Solution:   sol,
 		Cost:       sol.Cost(ins.G),
 		Delay:      sol.Delay(ins.G),
 		LowerBound: p1.CLPCeil,
 		Exact:      exact,
 		Stats:      stats,
-	}
-	var flags int64
-	if stats.Degraded {
-		flags |= rec.FlagDegraded
-	}
-	if exact {
-		flags |= rec.FlagExact
-	}
-	if stats.RelaxedCap {
-		flags |= rec.FlagRelaxedCap
-	}
-	if stats.FellBackToPhase1 {
-		flags |= rec.FlagFellBack
-	}
-	r.Record(rec.KindSolveEnd, res.Cost, res.Delay, int64(stats.Iterations), flags)
-	return res, nil
+	}, nil
 }

@@ -7,11 +7,11 @@
 //
 // Determinism: probabilistic arming draws from a rand.Rand seeded at New,
 // guarded by a mutex, so a given seed and call sequence trips the same
-// sites in the same order on every run. Injection sites are consulted only
-// at serial points of the pipeline (the cancellation-loop body, the
-// bicameral.Find entry, the LP rounding step) — never inside parallel
-// workers, where an injected panic would crash the process instead of
-// unwinding to a recover boundary.
+// sites in the same order on every run. The solver's injection sites sit
+// at serial points of a solve, which runs on one goroutine: core's
+// cancellation loop (the cancel, cycle-search and residual-update seams)
+// and the LP engine's rounding step. An injected panic there unwinds to
+// the caller's recover boundary.
 //
 // The chaos soak test (internal/core) and the krspd overload tests are the
 // consumers; see DESIGN.md §10 for the failpoint catalogue.
@@ -36,9 +36,10 @@ const (
 	// incremental residual update would run; a trip simulates an update
 	// failure and forces a full rebuild.
 	PointResidualUpdate Point = iota
-	// PointCycleSearch fires at the bicameral.Find entry; an error trip
-	// makes the search report not-found (exercising the C_ref escalation
-	// and phase-1 fallback), a panic trip exercises recover boundaries.
+	// PointCycleSearch fires in the cancellation loop right before each
+	// bicameral.Find call; an error trip skips the call and treats the
+	// search as not-found (exercising the C_ref escalation and phase-1
+	// fallback), a panic trip exercises recover boundaries.
 	PointCycleSearch
 	// PointLPRound fires in the LP engine's rounding step; a trip discards
 	// the round's candidates.

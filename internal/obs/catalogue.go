@@ -1,8 +1,8 @@
 package obs
 
-// This file is the solver's metric catalogue: the typed groups threaded
-// through each layer and their eager registration. DESIGN.md §9 carries
-// the prose version of this table.
+// This file is the solver's metric catalogue: the typed groups that core,
+// the flow kernel and krspd record into, and their eager registration.
+// DESIGN.md §9 carries the prose version of this table.
 
 // ServerMetrics instruments cmd/krspd's HTTP surface.
 type ServerMetrics struct {
@@ -131,7 +131,8 @@ type FlowMetrics struct {
 	Infeasible *Counter
 }
 
-// BicameralMetrics instruments the bicameral-cycle search engines.
+// BicameralMetrics instruments the bicameral-cycle search engines. Core
+// records it from the Stats each bicameral.Find returns.
 type BicameralMetrics struct {
 	// Finds counts bicameral.Find invocations.
 	Finds *Counter
@@ -146,8 +147,8 @@ type BicameralMetrics struct {
 }
 
 // ShortestMetrics instruments the SPFA kernels feeding the bicameral
-// search. Recorded once per kernel run from locally accumulated counts,
-// so the relaxation loop carries no atomics.
+// search. Recorded once per bicameral.Find from the counts the search
+// returns, so the relaxation loop carries no atomics.
 type ShortestMetrics struct {
 	// Runs counts SPFA kernel invocations.
 	Runs *Counter
@@ -157,17 +158,16 @@ type ShortestMetrics struct {
 	NegCycles *Counter
 }
 
-// RecordRun folds one SPFA kernel run into the group. Nil-safe so
-// shortest.Workspace can call it unconditionally.
-func (m *ShortestMetrics) RecordRun(relaxations int64, negCycle bool) {
+// RecordRuns folds the SPFA kernel runs of one search into the group: how
+// many ran, their improving relaxations, and how many found a negative
+// cycle. Nil-safe so core can call it unconditionally.
+func (m *ShortestMetrics) RecordRuns(runs, relaxations, negCycles int64) {
 	if m == nil {
 		return
 	}
-	m.Runs.Inc()
+	m.Runs.Add(runs)
 	m.Relaxations.Add(relaxations)
-	if negCycle {
-		m.NegCycles.Inc()
-	}
+	m.NegCycles.Add(negCycles)
 }
 
 // ClusterMetrics instruments krspd's sharded mode (DESIGN.md §14): the

@@ -85,7 +85,7 @@ func TestNilRegistryIsInert(t *testing.T) {
 	r.Gauge("x", "h").Set(3)
 	r.Histogram("x", "h", []int64{1}).Observe(2)
 	r.StartSpan(PhaseCancel).End()
-	r.ShortestMetrics().RecordRun(10, true)
+	r.ShortestMetrics().RecordRuns(1, 10, 1)
 	r.SolverMetrics()
 	r.FlowMetrics()
 	r.BicameralMetrics()
@@ -194,7 +194,7 @@ func TestRecordPathAllocs(t *testing.T) {
 		{"gauge", func() { r.Server.Inflight.Add(1) }},
 		{"histogram", func() { r.Solver.LambdaIterations.Observe(9) }},
 		{"span", func() { s := r.StartSpan(PhaseCancel); clk.Advance(5); s.End() }},
-		{"record-run", func() { r.ShortestMetrics().RecordRun(40, false) }},
+		{"record-runs", func() { r.ShortestMetrics().RecordRuns(3, 40, 1) }},
 	}
 	var nilReg *Registry
 	checks = append(checks, struct {

@@ -80,6 +80,11 @@ const (
 	// KindDegradedRoute marks a solve computed locally because the owning
 	// peer was unreachable: the attempts burned before giving up.
 	KindDegradedRoute
+	// KindCancelStart opens the cycle-cancellation loop: the cost and delay
+	// of the bound-violating phase-1 endpoint it starts from, and the
+	// initial C_ref. With the cref-escalate and cancel-step events that
+	// follow, it rebuilds the cost, delay and C_ref before every step.
+	KindCancelStart
 	// NumKinds bounds the Kind enum.
 	NumKinds
 )
@@ -225,6 +230,11 @@ var kinds = [NumKinds]KindInfo{
 		Name: "degraded-route",
 		Args: [4]string{"attempts", "", "", ""},
 		Doc:  "owner unreachable; solved locally off-route",
+	},
+	KindCancelStart: {
+		Name: "cancel-start",
+		Args: [4]string{"cost", "delay", "cref", ""},
+		Doc:  "cycle-cancellation loop entry: starting totals and C_ref",
 	},
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/graph"
-	"repro/internal/obs/rec"
 )
 
 // Graph is a residual graph plus the bookkeeping to apply residual cycles to
@@ -26,14 +25,7 @@ type Graph struct {
 	view *graph.CSR
 	// sol is the solution edge set the residual was built against.
 	sol graph.EdgeSet
-	// fr, when non-nil, records one residual-apply flight-recorder event
-	// per successful Update (cycle count, edges flipped).
-	fr *rec.Recorder
 }
-
-// SetRecorder attaches a flight recorder to the residual maintenance path.
-// Nil (the default) records nothing and costs nothing.
-func (rg *Graph) SetRecorder(r *rec.Recorder) { rg.fr = r }
 
 // Build constructs G̃ with respect to the unit flow `sol` (the edges used
 // by the current k disjoint paths): G packed as a CSR, then one Flip — the
@@ -61,7 +53,6 @@ func (rg *Graph) Update(applied []graph.Cycle) error {
 	if err := rg.check(applied); err != nil {
 		return err
 	}
-	flipped := int64(0)
 	for _, cyc := range applied {
 		for _, id := range cyc.Edges {
 			if rg.view.Reversed(id) {
@@ -70,10 +61,8 @@ func (rg *Graph) Update(applied []graph.Cycle) error {
 				rg.sol.Add(id)
 			}
 			rg.view.Flip(id)
-			flipped++
 		}
 	}
-	rg.fr.Record(rec.KindResidualApply, int64(len(applied)), flipped, 0, 0)
 	return nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // checkCycle asserts the detector's cycle contract on a CSR view: closed,
@@ -112,9 +111,7 @@ func TestSPFAFindsShortCycleFast(t *testing.T) {
 			return cyc, !found
 		}},
 	} {
-		m := obs.New(nil).ShortestMetrics()
 		ws := NewWorkspace(n)
-		ws.SetMetrics(m)
 		cyc, ok := tc.run(ws)
 		if ok {
 			t.Fatalf("%s: missed the negative cycle", tc.name)
@@ -123,11 +120,11 @@ func TestSPFAFindsShortCycleFast(t *testing.T) {
 		if len(cyc.Edges) != L {
 			t.Fatalf("%s: cycle has %d edges, want %d", tc.name, len(cyc.Edges), L)
 		}
-		if got := m.Relaxations.Value(); got >= 4*n {
+		if got := ws.SPFA.Relaxations; got >= 4*n {
 			t.Fatalf("%s: %d relaxations before detection, want < 4n = %d", tc.name, got, 4*n)
 		}
-		if m.NegCycles.Value() != 1 {
-			t.Fatalf("%s: %d negative-cycle runs recorded, want 1", tc.name, m.NegCycles.Value())
+		if ws.SPFA.NegCycles != 1 {
+			t.Fatalf("%s: %d negative-cycle runs recorded, want 1", tc.name, ws.SPFA.NegCycles)
 		}
 	}
 }

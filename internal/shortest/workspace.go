@@ -3,7 +3,6 @@ package shortest
 import (
 	"repro/internal/cancel"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // Workspace holds the scratch arrays shared by the SPFA and Bellman–Ford
@@ -23,19 +22,21 @@ import (
 // arrays: they are valid until the next *_Into call on the same Workspace.
 // Callers that need the tree to outlive the workspace must copy it.
 type Workspace struct {
-	dist    []int64
-	parent  []graph.EdgeID
-	stamp   []int          // parent-walk ids of the SPFA cycle search
-	next    []graph.NodeID // SPFA FIFO links: next[v] follows v, or notQueued
-	metrics *obs.ShortestMetrics
-	cancel  *cancel.Canceller
+	dist   []int64
+	parent []graph.EdgeID
+	stamp  []int          // parent-walk ids of the SPFA cycle search
+	next   []graph.NodeID // SPFA FIFO links: next[v] follows v, or notQueued
+	cancel *cancel.Canceller
+	// SPFA counts the SPFA kernel runs made through the workspace. It only
+	// grows; the caller reads it once its searches are done.
+	SPFA SPFACounts
 }
 
-// SetMetrics attaches a metric sink to the workspace; every SPFA kernel
-// run through it then reports run/relaxation/negative-cycle counts. A nil
-// sink (the default) records nothing. The workspaces of solves running side
-// by side may share one sink: recording is atomic.
-func (ws *Workspace) SetMetrics(m *obs.ShortestMetrics) { ws.metrics = m }
+// SPFACounts tallies SPFA kernel runs: how many ran, the improving
+// relaxations they made, and how many found a negative cycle.
+type SPFACounts struct {
+	Runs, Relaxations, NegCycles int64
+}
 
 // SetCancel attaches a Canceller: kernels run through the workspace then
 // poll it in their relaxation loops and bail out early once it stops. A nil
@@ -53,11 +54,14 @@ func (ws *Workspace) SetMetrics(m *obs.ShortestMetrics) { ws.metrics = m }
 // proof that no cycle exists.
 func (ws *Workspace) SetCancel(c *cancel.Canceller) { ws.cancel = c }
 
-// recordSPFA folds one kernel run into the attached sink, if any. Counts
-// are accumulated locally by the kernel and recorded once per run, so the
-// relaxation loop carries no atomics.
+// recordSPFA folds one kernel run into ws.SPFA. The kernel counts its
+// relaxations locally and records once per run.
 func (ws *Workspace) recordSPFA(relaxations int, negCycle bool) {
-	ws.metrics.RecordRun(int64(relaxations), negCycle)
+	ws.SPFA.Runs++
+	ws.SPFA.Relaxations += int64(relaxations)
+	if negCycle {
+		ws.SPFA.NegCycles++
+	}
 }
 
 // NewWorkspace returns a workspace sized for graphs of up to n vertices.
